@@ -33,12 +33,10 @@ from .errors import (
 )
 from .geometry import (
     MixtureWeights,
+    _require_nonempty,
     decompose as geometry_decompose,
     enumerate_vertices,
-    extreme_rays,
     mixture as geometry_mixture,
-    normalize,
-    polytope_dimension,
 )
 from .io import (
     constraints_to_json_dict,
@@ -234,23 +232,17 @@ def constraints(source, as_json, digits, margins):
 @_digits_option
 @_margins_option
 @click.option("--output", "-o", type=click.Path(dir_okay=False), help="Write the vertex set JSON here.")
-@click.option("--threads", default=1, show_default=True, help="Worker threads for enumeration.")
 @_precision_option
 @_exit_on_errors
-def vertices(source, as_json, digits, margins, output, threads, precision_mode):
+def vertices(source, as_json, digits, margins, output, precision_mode):
     """Enumerate the extreme pmfs of the feasible polytope."""
     if precision_mode != RATIONAL:
         raise DomainError("vertex enumeration runs in exact rational arithmetic only")
     pmf = _load_pmf(source, RATIONAL)
     tgt = targets_from_pmf(pmf, digits=digits, margins=margins)
     H = build_H(tgt)
-    rays = extreme_rays(H, threads=threads)
-    if not rays.rays:
-        raise EmptyFeasibleSetError(
-            "the feasible polytope is empty", certificate=rays.empty_certificate
-        )
-    V = normalize(rays)
-    dim = polytope_dimension(H)
+    V = _require_nonempty(enumerate_vertices(H))
+    dim = V.dimension
     payload = vertexset_to_json_dict(V, digits=max(digits, 6))
     payload["dimension"] = dim
     if output:
@@ -347,9 +339,7 @@ def sample(source, method, count, seed, burn_in, thinning, digits, margins, outp
     pmf = _load_pmf(source, RATIONAL)
     tgt = targets_from_pmf(pmf, digits=digits, margins=margins)
     H = build_H(tgt)
-    V = enumerate_vertices(H)
-    if not V.vertices:
-        raise EmptyFeasibleSetError("the feasible polytope is empty")
+    V = _require_nonempty(enumerate_vertices(H))
     cfg = SamplerConfig(seed=seed, count=count, burn_in=burn_in, thinning=thinning)
     if method == "dirichlet":
         draws = sample_dirichlet(V, cfg)

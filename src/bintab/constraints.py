@@ -36,7 +36,7 @@ from .errors import (
     InfeasibleTargetsError,
     UnsupportedTargetError,
 )
-from .table import FLOAT, RATIONAL, Pmf, Scalar, all_pairs, marginal_odds_ratio, univariate_margin
+from .table import FLOAT, RATIONAL, Pmf, Scalar, _bit, all_pairs, marginal_odds_ratio, univariate_margin
 
 #: Default decimal precision at which moment targets are rationalized.
 DEFAULT_DIGITS = 6
@@ -274,10 +274,6 @@ def build_H(targets: MarginTargets) -> ConstraintMatrix:
         rows.append(row)
         labels.append(("moment", i, j))
     return ConstraintMatrix(d=d, rows=tuple(rows), labels=tuple(labels), targets=targets)
-
-
-def _bit(offset: int, d: int, i: int) -> int:
-    return (offset >> (d - i)) & 1
 
 
 def residual(H: ConstraintMatrix, p: Pmf) -> tuple:

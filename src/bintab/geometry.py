@@ -19,6 +19,13 @@ span a 2-face iff ``rank(A restricted to the S columns) == |S| - 2``.
 The equivalent combinatorial criterion (no third extreme ray has support
 inside S) is used as a cheap rejection filter before the rank test.
 
+The affine dimension is read off the enumerated rays: with S the union of
+their supports, every feasible table is zero off S and the centroid of the
+vertices is positive on S, so the affine hull is ``{x : x = 0 off S,
+H x = 0, sum(x) = 1}`` of dimension ``|S| - 1 - rank(H restricted to the S
+columns)``.  This is exact on degenerate polytopes whose points all vanish
+on some cells.
+
 Everything is deterministic: candidate pairs are scanned in a fixed order
 and the final ray list is sorted by descending lexicographic order of the
 normalized cell vectors, which also pairs reflected vertices stably.
@@ -27,16 +34,14 @@ normalized cell vectors, which also pairs reflected vertices stably.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import nnls
 
-from ._linalg import affine_rank, frac_rank, frac_solve, int_rank
+from ._linalg import affine_rank, frac_solve, int_rank
 from .constraints import ConstraintMatrix
 from .errors import (
     DimensionMismatchError,
@@ -71,13 +76,22 @@ class RaySet:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """Extreme pmfs of the feasible polytope, in canonical order."""
+    """Extreme pmfs of the feasible polytope, in canonical order.
+
+    ``empty_certificate`` is carried over from the :class:`RaySet`.
+    """
 
     vertices: Tuple[Pmf, ...]
     constraints: ConstraintMatrix
+    empty_certificate: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @property
+    def dimension(self) -> int:
+        """Exact affine dimension of the polytope (-1 when it is empty)."""
+        return _support_dimension(self.constraints, (v.cells for v in self.vertices))
 
 
 @dataclass(frozen=True)
@@ -174,7 +188,6 @@ def _insert_equality(
     masks: List[int],
     processed: Sequence[Tuple[int, ...]],
     h: Tuple[int, ...],
-    threads: int,
 ) -> Tuple[List[IntRay], List[int]]:
     vals = [sum(hc * rc for hc, rc in zip(h, r)) for r in rays]
     zero = [i for i, v in enumerate(vals) if v == 0]
@@ -183,29 +196,16 @@ def _insert_equality(
     new_rays = [rays[i] for i in zero]
     if not pos or not neg:
         return new_rays, [masks[i] for i in zero]
-    pairs = [(ip, im) for ip in pos for im in neg]
-
-    def combine(pair):
-        ip, im = pair
-        if not _adjacent(ip, im, masks, processed):
-            return None
-        rp, rm = rays[ip], rays[im]
-        return _primitive(tuple(vals[ip] * b - vals[im] * a for a, b in zip(rp, rm)))
-
-    if threads > 1 and len(pairs) > 64:
-        chunk = (len(pairs) + threads - 1) // threads
-        blocks = [pairs[i : i + chunk] for i in range(0, len(pairs), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(lambda block: [combine(pr) for pr in block], blocks)
-        produced = [ray for block in results for ray in block if ray is not None]
-    else:
-        produced = [ray for ray in map(combine, pairs) if ray is not None]
-
     seen = set(new_rays)
-    for ray in produced:
-        if ray not in seen:
-            seen.add(ray)
-            new_rays.append(ray)
+    for ip in pos:
+        for im in neg:
+            if not _adjacent(ip, im, masks, processed):
+                continue
+            rp, rm = rays[ip], rays[im]
+            ray = _primitive(tuple(vals[ip] * b - vals[im] * a for a, b in zip(rp, rm)))
+            if ray not in seen:
+                seen.add(ray)
+                new_rays.append(ray)
     return new_rays, [_mask(r) for r in new_rays]
 
 
@@ -214,11 +214,8 @@ def _normalized(ray: IntRay) -> Tuple[Fraction, ...]:
     return tuple(Fraction(v, s) for v in ray)
 
 
-def extreme_rays(H: ConstraintMatrix, threads: int = 1) -> RaySet:
-    """All extreme rays of ``{y >= 0 : H y = 0}`` (empty set when the cone is {0}).
-
-    The result is deterministic and independent of ``threads``.
-    """
+def extreme_rays(H: ConstraintMatrix) -> RaySet:
+    """All extreme rays of ``{y >= 0 : H y = 0}`` (empty set when the cone is {0})."""
     n = H.n_cols
     int_rows = _integer_rows(H)
     rays: List[IntRay] = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -226,7 +223,7 @@ def extreme_rays(H: ConstraintMatrix, threads: int = 1) -> RaySet:
     processed: List[Tuple[int, ...]] = []
     certificate = None
     for label, h in zip(H.labels, int_rows):
-        rays, masks = _insert_equality(rays, masks, processed, h, max(1, threads))
+        rays, masks = _insert_equality(rays, masks, processed, h)
         processed.append(h)
         if not rays:
             certificate = label
@@ -250,32 +247,48 @@ def normalize(rays: RaySet) -> VertexSet:
         vertices.append(
             Pmf(d=rays.d, cells=tuple(Fraction(v, s) for v in ray), mode=RATIONAL)
         )
-    return VertexSet(vertices=tuple(vertices), constraints=rays.constraints)
+    return VertexSet(
+        vertices=tuple(vertices),
+        constraints=rays.constraints,
+        empty_certificate=rays.empty_certificate,
+    )
 
 
-def enumerate_vertices(H: ConstraintMatrix, threads: int = 1) -> VertexSet:
+def enumerate_vertices(H: ConstraintMatrix) -> VertexSet:
     """Convenience pipeline: extreme rays, then normalization."""
-    return normalize(extreme_rays(H, threads=threads))
+    return normalize(extreme_rays(H))
 
 
-def polytope_dimension(H: ConstraintMatrix, threads: int = 1) -> int:
+def _require_nonempty(result, message: str = "the feasible polytope is empty"):
+    """Return a nonempty :class:`RaySet` or :class:`VertexSet`; raise when it is empty."""
+    if not len(result):
+        raise EmptyFeasibleSetError(message, certificate=result.empty_certificate)
+    return result
+
+
+def _support_dimension(H: ConstraintMatrix, points) -> int:
+    """``|S| - 1 - rank(H on the S columns)`` for S the union of the points' supports."""
+    support = 0
+    for p in points:
+        support |= _mask(p)
+    cols = _mask_columns(support)
+    return len(cols) - 1 - int_rank([[row[c] for c in cols] for row in _integer_rows(H)])
+
+
+def polytope_dimension(H: ConstraintMatrix) -> int:
     """Affine dimension of the feasible polytope.
 
-    Computed as ``2^d - 1 - rank(H)``, which matches the affine hull
-    whenever the polytope has a full-support point (true for every
-    nonempty system arising from strictly positive moment targets).
+    Exact for every nonempty polytope, degenerate ones included: it is
+    computed from the support of the enumerated extreme rays (see the
+    module docstring), not from ``rank(H)`` alone.
 
     Raises
     ------
     EmptyFeasibleSetError
         If the polytope is empty.
     """
-    rays = extreme_rays(H, threads=threads)
-    if not rays.rays:
-        raise EmptyFeasibleSetError(
-            "the feasible polytope is empty", certificate=rays.empty_certificate
-        )
-    return H.n_cols - 1 - frac_rank(H.rows)
+    rays = _require_nonempty(extreme_rays(H))
+    return _support_dimension(H, rays.rays)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +373,8 @@ def decompose(p: Pmf, V: VertexSet, tol: float = 1e-9) -> MixtureWeights:
                     best, best_norm = theta, norm
         if best is not None:
             return MixtureWeights(tuple(best))
+
+    from scipy.optimize import nnls  # imported here: it dominates the import time of bintab
 
     # Nonnegative least squares on the cell system augmented with sum(theta)=1.
     A = np.array([[float(c) for c in v.cells] for v in V.vertices], dtype=float).T

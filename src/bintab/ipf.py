@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import MarginTargets, build_H
-from .errors import EmptyFeasibleSetError
-from .geometry import extreme_rays
+from .geometry import _require_nonempty, extreme_rays
 from .table import FLOAT, Pmf, all_pairs
 
 DEFAULT_TOL = 1e-10
@@ -69,12 +68,7 @@ def ipf_max_entropy(
         If the targets admit no feasible table at all (checked exactly via
         ray enumeration before iterating).
     """
-    H = build_H(targets)
-    rays = extreme_rays(H)
-    if not rays.rays:
-        raise EmptyFeasibleSetError(
-            "targets admit no feasible table", certificate=rays.empty_certificate
-        )
+    _require_nonempty(extreme_rays(build_H(targets)), "targets admit no feasible table")
 
     d = targets.d
     n = 2**d

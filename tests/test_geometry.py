@@ -17,6 +17,7 @@ from bintab import (
     decompose,
     enumerate_vertices,
     extreme_rays,
+    ipf_max_entropy,
     mixture,
     normalize,
     polytope_dimension,
@@ -66,14 +67,11 @@ class TestExtremeRays:
         rays = extreme_rays(build_H(targets))
         assert rays.rays == ()
         assert rays.empty_certificate is not None
+        assert normalize(rays).empty_certificate == rays.empty_certificate
 
     def test_water_count(self, water):
         V = enumerate_vertices(build_H(targets_from_pmf(water, digits=3)))
         assert len(V) == 96
-
-    def test_threads_do_not_change_output(self, water):
-        H = build_H(targets_from_pmf(water, digits=3))
-        assert extreme_rays(H, threads=4).rays == extreme_rays(H, threads=1).rays
 
     def test_d4_degenerate_system_stays_reflect_closed(self):
         # regression: a rank shortcut in the integer elimination used by the
@@ -164,19 +162,40 @@ class TestPolytopeDimension:
     def test_water_dimension(self, water):
         assert polytope_dimension(build_H(targets_from_pmf(water, digits=3))) == 5
 
-    def test_matches_vertex_affine_rank(self, water):
+    @pytest.mark.parametrize(
+        "system, expected",
+        [
+            pytest.param("water", 5, id="water"),
+            pytest.param("example1", 1, id="example1"),
+            pytest.param("degenerate_d3", 0, id="degenerate_d3"),
+        ],
+    )
+    def test_matches_vertex_affine_rank(self, request, system, expected):
         from bintab._linalg import affine_rank
 
-        H = build_H(targets_from_pmf(water, digits=3))
+        if system == "degenerate_d3":
+            # mu12 = 1/2 forces X1 = X2, so no feasible table has full support
+            # and 2^d - 1 - rank(H) overstates the dimension; the polytope is
+            # a single vertex
+            targets = MarginTargets.uniform(
+                3, {(1, 2): F(1, 2), (1, 3): F(1, 4), (2, 3): F(1, 4)}
+            )
+        else:
+            targets = targets_from_pmf(request.getfixturevalue(system), digits=3)
+        H = build_H(targets)
         V = enumerate_vertices(H)
-        assert polytope_dimension(H) == affine_rank([v.cells for v in V.vertices])
+        assert polytope_dimension(H) == affine_rank([v.cells for v in V.vertices]) == expected
+        assert V.dimension == expected
 
     def test_empty_raises(self):
         targets = MarginTargets.uniform(
             3, {(1, 2): F(1, 10), (1, 3): F(1, 10), (2, 3): F(1, 10)}
         )
-        with pytest.raises(EmptyFeasibleSetError):
-            polytope_dimension(build_H(targets))
+        for query in (lambda: polytope_dimension(build_H(targets)), lambda: ipf_max_entropy(targets)):
+            with pytest.raises(EmptyFeasibleSetError) as excinfo:
+                query()
+            assert excinfo.value.certificate is not None
+        assert enumerate_vertices(build_H(targets)).dimension == -1
 
 
 class TestMixture:

@@ -1,11 +1,16 @@
 """Table documents, serialization round trips, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import bintab
 from bintab import TableParseError
 from bintab.cli import main
 from bintab.io import (
@@ -190,11 +195,32 @@ class TestCliVertices:
         assert "n = 96 extreme pmfs" in result.output
         assert "dimension 5" in result.output
 
-    def test_empty_polytope_exit_code(self, runner, tmp_path):
+    @pytest.mark.parametrize("command", ["vertices", "sample", "ipf"])
+    def test_empty_polytope_exit_code(self, runner, tmp_path, command):
         table = tmp_path / "infeasible.json"
         table.write_text(json.dumps(INFEASIBLE_TABLE))
-        result = runner.invoke(main, ["vertices", str(table)])
+        result = runner.invoke(main, [command, str(table)])
         assert result.exit_code == 2
+
+    def test_one_enumeration_per_call(self, runner, monkeypatch):
+        import bintab.cli
+        import bintab.geometry
+
+        calls = []
+        original = bintab.geometry.extreme_rays
+
+        def counting(H):
+            calls.append(H)
+            return original(H)
+
+        # also any reference the CLI holds by name, so no call escapes the count
+        for module in (bintab.geometry, bintab.cli):
+            if hasattr(module, "extreme_rays"):
+                monkeypatch.setattr(module, "extreme_rays", counting)
+        result = runner.invoke(main, ["vertices", "builtin:water", "--digits", "3"])
+        assert result.exit_code == 0
+        assert "dimension 5" in result.output
+        assert len(calls) == 1
 
     def test_unsupported_targets_exit_code(self, runner, tmp_path):
         table = tmp_path / "degenerate.json"
@@ -323,3 +349,15 @@ class TestCliReproduce:
     def test_unknown_example(self, runner):
         result = runner.invoke(main, ["reproduce", "nope"])
         assert result.exit_code != 0
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs most of the CLI's start-up; only decompose's
+    # least-squares fallback needs it
+    src = str(Path(bintab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, bintab.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
