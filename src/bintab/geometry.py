@@ -16,8 +16,21 @@ method in exact integer arithmetic:
 Adjacency of extreme rays r1, r2 in a pointed cone ``{y >= 0: A y = 0}``
 is decided algebraically: with S the union of their supports, r1 and r2
 span a 2-face iff ``rank(A restricted to the S columns) == |S| - 2``.
-The equivalent combinatorial criterion (no third extreme ray has support
-inside S) is used as a cheap rejection filter before the rank test.
+Every split pair first passes two exact necessary filters, vectorized over
+the ray supports, which are kept as a (rays x ceil(2^d / 64)) ``uint64``
+array of bit masks:
+
+* the popcount bound: the rank is at most the number of rows inserted so
+  far, so ``|S| <= len(A) + 2``;
+* the combinatorial criterion: no third extreme ray has support inside S.
+  For each positive ray, the masks lying inside each union are counted in
+  one array operation, in chunks of about 1 MB, and a pair survives when
+  the count is exactly 2.
+
+The integer Bareiss rank (``int_rank``) of the survivors is the final,
+exact adjacency decision.  Each inserted row emits one debug record on the
+``bintab.geometry`` logger with its counts: rays in and out, candidate
+pairs, pairs left after each filter, and rank rejections.
 
 The affine dimension is read off the enumerated rays: with S the union of
 their supports, every feasible table is zero off S and the centroid of the
@@ -33,6 +46,7 @@ normalized cell vectors, which also pairs reflected vertices stably.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +67,11 @@ from .table import FLOAT, RATIONAL, Pmf
 
 #: Largest vertex count for which decompose searches support subsets exactly.
 EXACT_DECOMPOSE_LIMIT = 16
+
+#: Size of the (candidate pairs x rays) block of one vectorized subset test.
+_SUBSET_BLOCK_BYTES = 1 << 20
+
+logger = logging.getLogger(__name__)
 
 IntRay = Tuple[int, ...]
 
@@ -152,61 +171,67 @@ def _primitive(vec: Sequence[int]) -> IntRay:
     return tuple(vec)
 
 
-def _mask(vec: Sequence[int]) -> int:
-    m = 0
-    for idx, v in enumerate(vec):
-        if v:
-            m |= 1 << idx
-    return m
-
-
-def _mask_columns(mask: int) -> List[int]:
-    cols = []
-    idx = 0
-    while mask:
-        if mask & 1:
-            cols.append(idx)
-        mask >>= 1
-        idx += 1
-    return cols
-
-
-def _adjacent(ip: int, im: int, masks: Sequence[int], processed: Sequence[Tuple[int, ...]]) -> bool:
-    union = masks[ip] | masks[im]
-    for idx, m3 in enumerate(masks):
-        if idx != ip and idx != im and (m3 & ~union) == 0:
-            return False
-    cols = _mask_columns(union)
-    if not processed:
-        return len(cols) == 2
-    sub = [[row[c] for c in cols] for row in processed]
-    return int_rank(sub) == len(cols) - 2
+def _mask_words(rays: Sequence[IntRay], n: int) -> np.ndarray:
+    """Support masks as a (rays x ceil(n/64)) uint64 array; word w holds cells 64w..64w+63."""
+    words = -(-n // 64)
+    nonzero = np.zeros((len(rays), 64 * words), dtype=bool)
+    if rays:
+        nonzero[:, :n] = [[v != 0 for v in r] for r in rays]
+    return np.packbits(nonzero, axis=1, bitorder="little").view(np.uint64)
 
 
 def _insert_equality(
     rays: List[IntRay],
-    masks: List[int],
+    masks: np.ndarray,
     processed: Sequence[Tuple[int, ...]],
     h: Tuple[int, ...],
-) -> Tuple[List[IntRay], List[int]]:
+) -> Tuple[List[IntRay], np.ndarray, dict]:
+    """Refine the cone by ``h . y = 0``; return the new rays, their masks and the row's counts."""
     vals = [sum(hc * rc for hc, rc in zip(h, r)) for r in rays]
     zero = [i for i, v in enumerate(vals) if v == 0]
     pos = [i for i, v in enumerate(vals) if v > 0]
     neg = [i for i, v in enumerate(vals) if v < 0]
     new_rays = [rays[i] for i in zero]
+    counts = {
+        "rays_in": len(rays),
+        "candidate_pairs": len(pos) * len(neg),
+        "popcount_pairs": 0,
+        "subset_pairs": 0,
+        "rank_rejected": 0,
+    }
     if not pos or not neg:
-        return new_rays, [masks[i] for i in zero]
+        return new_rays, masks[zero], counts
     seen = set(new_rays)
+    neg_masks = masks[neg]
+    # rank(A_S) <= len(processed), so an adjacent pair has |S| <= len(processed) + 2
+    max_support = len(processed) + 2
+    chunk = max(1, _SUBSET_BLOCK_BYTES // (8 * len(rays)))
     for ip in pos:
-        for im in neg:
-            if not _adjacent(ip, im, masks, processed):
-                continue
-            rp, rm = rays[ip], rays[im]
-            ray = _primitive(tuple(vals[ip] * b - vals[im] * a for a, b in zip(rp, rm)))
-            if ray not in seen:
-                seen.add(ray)
-                new_rays.append(ray)
-    return new_rays, [_mask(r) for r in new_rays]
+        rp = rays[ip]
+        unions = neg_masks | masks[ip]
+        near = np.flatnonzero(np.bitwise_count(unions).sum(axis=1) <= max_support)
+        counts["popcount_pairs"] += len(near)
+        for start in range(0, len(near), chunk):
+            part = near[start : start + chunk]
+            outside = np.zeros((len(part), len(rays)), dtype=bool)
+            for w in range(masks.shape[1]):
+                outside |= (masks[:, w] & ~unions[part, w][:, None]) != 0
+            # the pair itself always lies inside its union; a third ray there rules it out
+            survivors = part[np.count_nonzero(~outside, axis=1) == 2]
+            counts["subset_pairs"] += len(survivors)
+            for k in survivors.tolist():
+                im = neg[k]
+                rm = rays[im]
+                cols = [c for c, (a, b) in enumerate(zip(rp, rm)) if a or b]
+                if int_rank([[row[c] for c in cols] for row in processed]) != len(cols) - 2:
+                    counts["rank_rejected"] += 1
+                    continue
+                ray = _primitive(tuple(vals[ip] * b - vals[im] * a for a, b in zip(rp, rm)))
+                if ray not in seen:
+                    seen.add(ray)
+                    new_rays.append(ray)
+    new_masks = np.concatenate([masks[zero], _mask_words(new_rays[len(zero) :], len(h))])
+    return new_rays, new_masks, counts
 
 
 def _normalized(ray: IntRay) -> Tuple[Fraction, ...]:
@@ -219,12 +244,19 @@ def extreme_rays(H: ConstraintMatrix) -> RaySet:
     n = H.n_cols
     int_rows = _integer_rows(H)
     rays: List[IntRay] = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    masks: List[int] = [1 << j for j in range(n)]
+    masks = _mask_words(rays, n)
     processed: List[Tuple[int, ...]] = []
     certificate = None
     for label, h in zip(H.labels, int_rows):
-        rays, masks = _insert_equality(rays, masks, processed, h)
+        rays, masks, counts = _insert_equality(rays, masks, processed, h)
         processed.append(h)
+        counts.update(row=label, rays_out=len(rays))
+        logger.debug(
+            "row %(row)s: %(rays_in)d -> %(rays_out)d rays; %(candidate_pairs)d candidate pairs, "
+            "%(popcount_pairs)d within the popcount bound, %(subset_pairs)d pass the subset test, "
+            "%(rank_rejected)d rank rejections",
+            counts,
+        )
         if not rays:
             certificate = label
             break
@@ -268,10 +300,7 @@ def _require_nonempty(result, message: str = "the feasible polytope is empty"):
 
 def _support_dimension(H: ConstraintMatrix, points) -> int:
     """``|S| - 1 - rank(H on the S columns)`` for S the union of the points' supports."""
-    support = 0
-    for p in points:
-        support |= _mask(p)
-    cols = _mask_columns(support)
+    cols = sorted({c for p in points for c, v in enumerate(p) if v})
     return len(cols) - 1 - int_rank([[row[c] for c in cols] for row in _integer_rows(H)])
 
 

@@ -1,5 +1,6 @@
 """Vertex enumeration, mixtures, and decomposition."""
 
+import logging
 import random
 from fractions import Fraction
 
@@ -25,7 +26,8 @@ from bintab import (
     targets_from_pmf,
     top_order_odds_ratio,
 )
-from bintab._linalg import frac_rank
+from bintab._linalg import frac_rank, int_rank
+from bintab.geometry import _integer_rows, _primitive
 from conftest import (
     EXAMPLE1_VERTEX_A,
     EXAMPLE1_VERTEX_B,
@@ -34,6 +36,39 @@ from conftest import (
 )
 
 F = Fraction
+
+
+def reference_rays(H):
+    """Double description with the pairwise Python scan of integer support masks.
+
+    Same scan order, dedup and sort as ``extreme_rays``, with the adjacency
+    filter written as a plain loop: the reference for the vectorized filter.
+    """
+    n = H.n_cols
+    rays = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    processed = []
+    for h in _integer_rows(H):
+        masks = [sum(1 << c for c, v in enumerate(r) if v) for r in rays]
+        vals = [sum(a * b for a, b in zip(h, r)) for r in rays]
+        new_rays = [r for r, v in zip(rays, vals) if v == 0]
+        seen = set(new_rays)
+        for ip in (i for i, v in enumerate(vals) if v > 0):
+            for im in (i for i, v in enumerate(vals) if v < 0):
+                union = masks[ip] | masks[im]
+                if any(k not in (ip, im) and m & ~union == 0 for k, m in enumerate(masks)):
+                    continue
+                cols = [c for c in range(n) if union >> c & 1]
+                if int_rank([[row[c] for c in cols] for row in processed]) != len(cols) - 2:
+                    continue
+                ray = _primitive([vals[ip] * b - vals[im] * a for a, b in zip(rays[ip], rays[im])])
+                if ray not in seen:
+                    seen.add(ray)
+                    new_rays.append(ray)
+        rays = new_rays
+        processed.append(h)
+        if not rays:
+            break
+    return tuple(sorted(rays, key=lambda r: [F(v, sum(r)) for v in r], reverse=True))
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +117,57 @@ class TestExtremeRays:
         cells = {v.cells for v in V.vertices}
         assert len(cells) == 88
         assert {tuple(reversed(c)) for c in cells} == cells
+
+    def test_matches_pairwise_scan_reference(self, water):
+        # water, and the 88-ray system of test_d4_degenerate_system_stays_reflect_closed
+        weights = [14, 17, 6, 5, 16, 4, 17, 2, 18, 10, 7, 15, 6, 3, 8, 4]
+        degenerate = Pmf.from_cells([F(w, sum(weights)) for w in weights])
+        for p, digits in ((water, 3), (degenerate, 2)):
+            H = build_H(targets_from_pmf(p, digits=digits))
+            assert extreme_rays(H).rays == reference_rays(H)
+
+    def test_masks_wider_than_one_word(self, example1_H3):
+        # d=7 has 128 cells, two mask words; the d=3 system sits on cells
+        # 60..67, across the word boundary, and every other cell is free
+        offset = 60
+        rows = tuple(
+            tuple(row[c - offset] if offset <= c < offset + 8 else F(0) for c in range(128))
+            for row in example1_H3.rows
+        )
+        H7 = ConstraintMatrix(d=7, rows=rows, labels=example1_H3.labels, targets=example1_H3.targets)
+        embedded = {
+            tuple(ray[c - offset] if offset <= c < offset + 8 else 0 for c in range(128))
+            for ray in extreme_rays(example1_H3).rays
+        }
+        units = {
+            tuple(int(c == j) for c in range(128)) for j in range(128) if not offset <= j < offset + 8
+        }
+        rays = extreme_rays(H7).rays
+        assert len(rays) == len(embedded) + 120
+        assert set(rays) == embedded | units
+
+    def test_d5_margin_polytope(self):
+        # the five uniform margin rows of d=5; the moment targets do not enter them
+        full = build_H(MarginTargets.uniform(5, {(i, j): F(1, 4) for i in range(1, 6) for j in range(i + 1, 6)}))
+        H = ConstraintMatrix(d=5, rows=full.rows[:5], labels=full.labels[:5], targets=full.targets)
+        V = enumerate_vertices(H)
+        assert len(V) == 2712
+        cells = {v.cells for v in V.vertices}
+        assert {tuple(reversed(c)) for c in cells} == cells
+        rank = frac_rank(H.rows)
+        assert all(v.support_size() <= rank + 1 for v in V.vertices)
+
+    def test_row_trace_is_logged(self, water, caplog):
+        H = build_H(targets_from_pmf(water, digits=3))
+        with caplog.at_level(logging.DEBUG, logger="bintab.geometry"):
+            extreme_rays(H)
+        rows = [r.args for r in caplog.records if r.name == "bintab.geometry"]
+        assert [r["row"] for r in rows] == list(H.labels)
+        assert rows[-1]["rays_out"] == 96
+        for prev, r in zip([{"rays_out": 16}] + rows, rows):
+            assert r["rays_in"] == prev["rays_out"]
+            assert r["candidate_pairs"] >= r["popcount_pairs"] >= r["subset_pairs"]
+            assert r["rank_rejected"] == 0
 
     def test_insertion_order_irrelevant(self, example1_H3):
         base = {v.cells for v in enumerate_vertices(example1_H3).vertices}
