@@ -31,13 +31,10 @@ from .errors import (
 )
 from .geometry import (
     MixtureWeights,
-    RaySet,
     VertexSet,
     decompose,
     enumerate_vertices,
-    extreme_rays,
     mixture,
-    normalize,
     polytope_dimension,
 )
 from .ipf import IpfReport, ipf_max_entropy
@@ -84,7 +81,6 @@ __all__ = [
     "MixtureWeights",
     "NotInPolytopeError",
     "Pmf",
-    "RaySet",
     "SamplerConfig",
     "TableParseError",
     "UnsupportedTargetError",
@@ -98,13 +94,11 @@ __all__ = [
     "correlation",
     "decompose",
     "enumerate_vertices",
-    "extreme_rays",
     "ipf_max_entropy",
     "marginal_odds_ratio",
     "mixture",
     "moment_for_margins",
     "moment_from_odds_ratio",
-    "normalize",
     "polytope_dimension",
     "reconstruct",
     "reflect",

@@ -39,13 +39,13 @@ from .geometry import (
     mixture as geometry_mixture,
 )
 from .io import (
+    axes_key,
     constraints_to_json_dict,
     document_to_json_dict,
     load_table,
     loglinear_to_json_dict,
     parse_rational,
     pmf_to_document,
-    subset_key,
     targets_to_json_dict,
     vertexset_from_json,
     vertexset_to_json_dict,
@@ -109,10 +109,6 @@ def _load_pmf(source: str, precision_mode: str) -> Pmf:
     return pmf.to_float() if precision_mode == FLOAT else pmf
 
 
-def _pair_key(pair):
-    return f"{pair[0]}{pair[1]}"
-
-
 _input_argument = click.argument("source", metavar="INPUT")
 _json_flag = click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text.")
 _digits_option = click.option(
@@ -160,10 +156,10 @@ def analyze(source, as_json, precision_mode):
             "d": d,
             "cells": [float(c) for c in pmf.cells],
             "margins": {str(i): [_num(float(m)) for m in margins[i]] for i in margins},
-            "correlations": {_pair_key(p): _num(correlations[p]) for p in pairs},
-            "marginal_odds_ratios": {_pair_key(p): _num(marginal[p]) for p in pairs},
+            "correlations": {axes_key(p): _num(correlations[p]) for p in pairs},
+            "marginal_odds_ratios": {axes_key(p): _num(marginal[p]) for p in pairs},
             "conditional_odds_ratios": {
-                _pair_key((i, j)) + "|" + "".join(map(str, rest)): _num(v)
+                axes_key((i, j)) + "|" + "".join(map(str, rest)): _num(v)
                 for (i, j, rest), v in conditional.items()
             },
             "top_order_odds_ratio": _num(top),
@@ -241,7 +237,8 @@ def vertices(source, as_json, digits, margins, output, precision_mode):
     pmf = _load_pmf(source, RATIONAL)
     tgt = targets_from_pmf(pmf, digits=digits, margins=margins)
     H = build_H(tgt)
-    V = _require_nonempty(enumerate_vertices(H))
+    V = enumerate_vertices(H)
+    _require_nonempty(V.vertices, V.empty_certificate)
     dim = V.dimension
     payload = vertexset_to_json_dict(V, digits=max(digits, 6))
     payload["dimension"] = dim
@@ -317,7 +314,7 @@ def loglinear(source, parametrization, eps, as_json, precision_mode):
         return
     click.echo(f"parametrization: {parametrization} (eps = {eps})")
     for subset in sorted(params.coefficients, key=lambda s: (len(s), s)):
-        click.echo(f"  lambda[{subset_key(subset)}] = {params.coefficients[subset]:+.4f}")
+        click.echo(f"  lambda[{axes_key(subset)}] = {params.coefficients[subset]:+.4f}")
 
 
 @main.command()
@@ -339,7 +336,8 @@ def sample(source, method, count, seed, burn_in, thinning, digits, margins, outp
     pmf = _load_pmf(source, RATIONAL)
     tgt = targets_from_pmf(pmf, digits=digits, margins=margins)
     H = build_H(tgt)
-    V = _require_nonempty(enumerate_vertices(H))
+    V = enumerate_vertices(H)
+    _require_nonempty(V.vertices, V.empty_certificate)
     cfg = SamplerConfig(seed=seed, count=count, burn_in=burn_in, thinning=thinning)
     if method == "dirichlet":
         draws = sample_dirichlet(V, cfg)

@@ -14,23 +14,27 @@ method in exact integer arithmetic:
    for every *adjacent* pair split by it.
 
 Adjacency of extreme rays r1, r2 in a pointed cone ``{y >= 0: A y = 0}``
-is decided algebraically: with S the union of their supports, r1 and r2
-span a 2-face iff ``rank(A restricted to the S columns) == |S| - 2``.
-Every split pair first passes two exact necessary filters, vectorized over
-the ray supports, which are kept as a (rays x ceil(2^d / 64)) ``uint64``
-array of bit masks:
+has an algebraic form: with S the union of their supports, r1 and r2 span
+a 2-face iff ``rank(A restricted to the S columns) == |S| - 2``.  On a
+*minimal* generating set, the extreme rays and nothing else, the
+combinatorial test is equivalent to it: r1 and r2 are adjacent iff no
+third ray has its support inside S (Fukuda & Prodon, "Double description
+method revisited", 1996).  The cone is pointed, and every step keeps the
+rays on the hyperplane and adds one primitive, deduplicated ray per
+adjacent split pair, so the ray set stays exactly the extreme rays from
+the unit vectors onward, and the combinatorial test decides adjacency
+exactly.  It runs vectorized over the ray supports, which are kept as a
+(rays x ceil(2^d / 64)) ``uint64`` array of bit masks:
 
-* the popcount bound: the rank is at most the number of rows inserted so
-  far, so ``|S| <= len(A) + 2``;
-* the combinatorial criterion: no third extreme ray has support inside S.
-  For each positive ray, the masks lying inside each union are counted in
-  one array operation, in chunks of about 1 MB, and a pair survives when
-  the count is exactly 2.
+* the popcount bound, a necessary condition: the rank is at most the
+  number of rows inserted so far, so ``|S| <= rows + 2``;
+* the subset count: for each positive ray, the masks lying inside each
+  union are counted in one array operation, in chunks of about 1 MB, and
+  a pair is adjacent when the count is exactly 2.
 
-The integer Bareiss rank (``int_rank``) of the survivors is the final,
-exact adjacency decision.  Each inserted row emits one debug record on the
-``bintab.geometry`` logger with its counts: rays in and out, candidate
-pairs, pairs left after each filter, and rank rejections.
+Each inserted row emits one debug record on the ``bintab.geometry`` logger
+with its counts: rays in and out, candidate pairs, and pairs left after
+each filter.
 
 The affine dimension is read off the enumerated rays: with S the union of
 their supports, every feasible table is zero off S and the centroid of the
@@ -39,9 +43,11 @@ H x = 0, sum(x) = 1}`` of dimension ``|S| - 1 - rank(H restricted to the S
 columns)``.  This is exact on degenerate polytopes whose points all vanish
 on some cells.
 
-Everything is deterministic: candidate pairs are scanned in a fixed order
-and the final ray list is sorted by descending lexicographic order of the
-normalized cell vectors, which also pairs reflected vertices stably.
+:func:`enumerate_vertices` is the one entry point: it divides each ray by
+its coordinate sum into a vertex pmf.  Everything is deterministic:
+candidate pairs are scanned in a fixed order and the vertices are sorted by
+descending lexicographic order of their cells, which also pairs reflected
+vertices stably.
 """
 
 from __future__ import annotations
@@ -77,27 +83,11 @@ IntRay = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class RaySet:
-    """Extreme rays of the feasible cone as primitive integer vectors.
-
-    ``empty_certificate`` names the constraint row whose insertion emptied
-    the cone, when enumeration ended with no rays.
-    """
-
-    d: int
-    rays: Tuple[IntRay, ...]
-    constraints: ConstraintMatrix
-    empty_certificate: Optional[tuple] = None
-
-    def __len__(self) -> int:
-        return len(self.rays)
-
-
-@dataclass(frozen=True)
 class VertexSet:
     """Extreme pmfs of the feasible polytope, in canonical order.
 
-    ``empty_certificate`` is carried over from the :class:`RaySet`.
+    ``empty_certificate`` names the constraint row whose insertion emptied
+    the cone, when enumeration ended with no vertices.
     """
 
     vertices: Tuple[Pmf, ...]
@@ -183,10 +173,13 @@ def _mask_words(rays: Sequence[IntRay], n: int) -> np.ndarray:
 def _insert_equality(
     rays: List[IntRay],
     masks: np.ndarray,
-    processed: Sequence[Tuple[int, ...]],
+    inserted: int,
     h: Tuple[int, ...],
 ) -> Tuple[List[IntRay], np.ndarray, dict]:
-    """Refine the cone by ``h . y = 0``; return the new rays, their masks and the row's counts."""
+    """Refine the cone by ``h . y = 0``; return the new rays, their masks and the row's counts.
+
+    ``inserted`` is the number of rows inserted before ``h``.
+    """
     vals = [sum(hc * rc for hc, rc in zip(h, r)) for r in rays]
     zero = [i for i, v in enumerate(vals) if v == 0]
     pos = [i for i, v in enumerate(vals) if v > 0]
@@ -197,14 +190,13 @@ def _insert_equality(
         "candidate_pairs": len(pos) * len(neg),
         "popcount_pairs": 0,
         "subset_pairs": 0,
-        "rank_rejected": 0,
     }
     if not pos or not neg:
         return new_rays, masks[zero], counts
     seen = set(new_rays)
     neg_masks = masks[neg]
-    # rank(A_S) <= len(processed), so an adjacent pair has |S| <= len(processed) + 2
-    max_support = len(processed) + 2
+    # rank(A_S) <= inserted, so an adjacent pair has |S| <= inserted + 2
+    max_support = inserted + 2
     chunk = max(1, _SUBSET_BLOCK_BYTES // (8 * len(rays)))
     for ip in pos:
         rp = rays[ip]
@@ -217,15 +209,11 @@ def _insert_equality(
             for w in range(masks.shape[1]):
                 outside |= (masks[:, w] & ~unions[part, w][:, None]) != 0
             # the pair itself always lies inside its union; a third ray there rules it out
-            survivors = part[np.count_nonzero(~outside, axis=1) == 2]
-            counts["subset_pairs"] += len(survivors)
-            for k in survivors.tolist():
+            adjacent = part[np.count_nonzero(~outside, axis=1) == 2]
+            counts["subset_pairs"] += len(adjacent)
+            for k in adjacent.tolist():
                 im = neg[k]
                 rm = rays[im]
-                cols = [c for c, (a, b) in enumerate(zip(rp, rm)) if a or b]
-                if int_rank([[row[c] for c in cols] for row in processed]) != len(cols) - 2:
-                    counts["rank_rejected"] += 1
-                    continue
                 ray = _primitive(tuple(vals[ip] * b - vals[im] * a for a, b in zip(rp, rm)))
                 if ray not in seen:
                     seen.add(ray)
@@ -234,68 +222,45 @@ def _insert_equality(
     return new_rays, new_masks, counts
 
 
-def _normalized(ray: IntRay) -> Tuple[Fraction, ...]:
-    s = sum(ray)
-    return tuple(Fraction(v, s) for v in ray)
+def _extreme_rays(H: ConstraintMatrix) -> Tuple[List[IntRay], Optional[tuple]]:
+    """Extreme rays of ``{y >= 0 : H y = 0}``, unsorted, and the label of the row that emptied it.
 
-
-def extreme_rays(H: ConstraintMatrix) -> RaySet:
-    """All extreme rays of ``{y >= 0 : H y = 0}`` (empty set when the cone is {0})."""
+    The rays are primitive integer vectors; the label is None unless the
+    cone is {0}.
+    """
     n = H.n_cols
-    int_rows = _integer_rows(H)
     rays: List[IntRay] = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     masks = _mask_words(rays, n)
-    processed: List[Tuple[int, ...]] = []
-    certificate = None
-    for label, h in zip(H.labels, int_rows):
-        rays, masks, counts = _insert_equality(rays, masks, processed, h)
-        processed.append(h)
+    for inserted, (label, h) in enumerate(zip(H.labels, _integer_rows(H))):
+        rays, masks, counts = _insert_equality(rays, masks, inserted, h)
         counts.update(row=label, rays_out=len(rays))
         logger.debug(
             "row %(row)s: %(rays_in)d -> %(rays_out)d rays; %(candidate_pairs)d candidate pairs, "
-            "%(popcount_pairs)d within the popcount bound, %(subset_pairs)d pass the subset test, "
-            "%(rank_rejected)d rank rejections",
+            "%(popcount_pairs)d within the popcount bound, %(subset_pairs)d adjacent",
             counts,
         )
         if not rays:
-            certificate = label
-            break
-    order = sorted(range(len(rays)), key=lambda i: _normalized(rays[i]), reverse=True)
-    return RaySet(
-        d=H.d,
-        rays=tuple(rays[i] for i in order),
-        constraints=H,
-        empty_certificate=certificate,
-    )
-
-
-def normalize(rays: RaySet) -> VertexSet:
-    """Extreme pmfs: each ray divided by its coordinate sum."""
-    vertices = []
-    for ray in rays.rays:
-        s = sum(ray)
-        if s <= 0:
-            raise AssertionError("extreme ray with nonpositive sum; enumeration invariant broken")
-        vertices.append(
-            Pmf(d=rays.d, cells=tuple(Fraction(v, s) for v in ray), mode=RATIONAL)
-        )
-    return VertexSet(
-        vertices=tuple(vertices),
-        constraints=rays.constraints,
-        empty_certificate=rays.empty_certificate,
-    )
+            return rays, label
+    return rays, None
 
 
 def enumerate_vertices(H: ConstraintMatrix) -> VertexSet:
-    """Convenience pipeline: extreme rays, then normalization."""
-    return normalize(extreme_rays(H))
+    """Extreme pmfs of the feasible polytope: each extreme ray divided by its coordinate sum."""
+    rays, certificate = _extreme_rays(H)
+    vertices = []
+    for ray in rays:
+        s = sum(ray)
+        if s <= 0:
+            raise AssertionError("extreme ray with nonpositive sum; enumeration invariant broken")
+        vertices.append(Pmf(d=H.d, cells=tuple(Fraction(v, s) for v in ray), mode=RATIONAL))
+    vertices.sort(key=lambda v: v.cells, reverse=True)
+    return VertexSet(vertices=tuple(vertices), constraints=H, empty_certificate=certificate)
 
 
-def _require_nonempty(result, message: str = "the feasible polytope is empty"):
-    """Return a nonempty :class:`RaySet` or :class:`VertexSet`; raise when it is empty."""
-    if not len(result):
-        raise EmptyFeasibleSetError(message, certificate=result.empty_certificate)
-    return result
+def _require_nonempty(found: Sequence, certificate, message: str = "the feasible polytope is empty"):
+    """Raise :class:`EmptyFeasibleSetError` with ``certificate`` when nothing was found."""
+    if not found:
+        raise EmptyFeasibleSetError(message, certificate=certificate)
 
 
 def _support_dimension(H: ConstraintMatrix, points) -> int:
@@ -316,8 +281,9 @@ def polytope_dimension(H: ConstraintMatrix) -> int:
     EmptyFeasibleSetError
         If the polytope is empty.
     """
-    rays = _require_nonempty(extreme_rays(H))
-    return _support_dimension(H, rays.rays)
+    rays, certificate = _extreme_rays(H)
+    _require_nonempty(rays, certificate)
+    return _support_dimension(H, rays)
 
 
 # ---------------------------------------------------------------------------

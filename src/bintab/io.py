@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .constraints import ConstraintMatrix, MarginTargets
 from .datasets import BUILTIN_NAMES, builtin_labels, builtin_pmf
@@ -195,6 +195,20 @@ def pmf_to_document(p: Pmf, labels=None) -> TableDocument:
 # --------------------------------------------------------------------------
 
 
+def axes_key(axes: Sequence[int]) -> str:
+    """JSON key of a set of axes: comma-joined (``"1,2"``), ``"∅"`` for none; unambiguous for any d."""
+    return ",".join(str(i) for i in axes) if axes else "∅"
+
+
+def _pair_from_key(key: str) -> Tuple[int, int]:
+    """The axis pair of a moment key ``"i,j"``, or of the legacy two-digit ``"ij"``."""
+    try:
+        i, j = (int(v) for v in (key.split(",") if "," in key else key))
+    except ValueError as exc:
+        raise TableParseError(f"malformed moment key {key!r}; expected 'i,j'") from exc
+    return i, j
+
+
 def _decimal_str(value: Fraction, digits: int) -> str:
     return f"{float(value):.{digits}f}"
 
@@ -204,11 +218,11 @@ def targets_to_json_dict(targets: MarginTargets, digits: int = 6) -> dict:
         "d": targets.d,
         "univariate": [format_rational(m) for m in targets.univariate],
         "moments": {
-            f"{i}{j}": {
+            axes_key(pair): {
                 "rational": format_rational(mu),
                 "decimal": _decimal_str(mu, digits),
             }
-            for (i, j), mu in targets.moments.items()
+            for pair, mu in targets.moments.items()
         },
     }
 
@@ -216,8 +230,7 @@ def targets_to_json_dict(targets: MarginTargets, digits: int = 6) -> dict:
 def constraints_to_json_dict(H: ConstraintMatrix) -> dict:
     return {
         "d": H.d,
-        "labels": ["".join(str(x) for x in label[1:]) if label[0] == "moment" else str(label[1])
-                   for label in H.labels],
+        "labels": [axes_key(label[1:]) for label in H.labels],
         "row_kinds": [label[0] for label in H.labels],
         "rows": [[format_rational(v) for v in row] for row in H.rows],
     }
@@ -243,7 +256,7 @@ def targets_from_json_dict(obj: dict) -> MarginTargets:
     try:
         univariate = tuple(parse_rational(m) for m in obj["univariate"])
         moments = {
-            (int(key[0]), int(key[1])): parse_rational(entry["rational"])
+            _pair_from_key(key): parse_rational(entry["rational"])
             for key, entry in obj["moments"].items()
         }
         return MarginTargets(d=obj["d"], univariate=univariate, moments=moments)
@@ -270,17 +283,12 @@ def vertexset_from_json(text: str) -> VertexSet:
     return VertexSet(vertices=tuple(vertices), constraints=H)
 
 
-def subset_key(subset: Tuple[int, ...]) -> str:
-    """Subsets serialize as digit strings ('∅' for the intercept); needs d <= 9."""
-    return "".join(str(i) for i in subset) if subset else "∅"
-
-
 def loglinear_to_json_dict(params: LogLinearParams) -> dict:
     return {
         "parametrization": params.parametrization,
         "eps": params.eps,
         "coefficients": {
-            subset_key(subset): params.coefficients[subset]
+            axes_key(subset): params.coefficients[subset]
             for subset in sorted(params.coefficients, key=lambda s: (len(s), s))
         },
     }

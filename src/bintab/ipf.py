@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import MarginTargets, build_H
-from .geometry import _require_nonempty, extreme_rays
+from .geometry import _extreme_rays, _require_nonempty
 from .table import FLOAT, Pmf, all_pairs
 
 DEFAULT_TOL = 1e-10
@@ -68,7 +68,7 @@ def ipf_max_entropy(
         If the targets admit no feasible table at all (checked exactly via
         ray enumeration before iterating).
     """
-    _require_nonempty(extreme_rays(build_H(targets)), "targets admit no feasible table")
+    _require_nonempty(*_extreme_rays(build_H(targets)), "targets admit no feasible table")
 
     d = targets.d
     n = 2**d

@@ -17,21 +17,20 @@ from bintab import (
     build_H,
     decompose,
     enumerate_vertices,
-    extreme_rays,
     ipf_max_entropy,
     mixture,
-    normalize,
     polytope_dimension,
     satisfies,
     targets_from_pmf,
     top_order_odds_ratio,
 )
 from bintab._linalg import frac_rank, int_rank
-from bintab.geometry import _integer_rows, _primitive
+from bintab.geometry import _extreme_rays, _integer_rows, _primitive
 from conftest import (
     EXAMPLE1_VERTEX_A,
     EXAMPLE1_VERTEX_B,
     brute_force_vertices,
+    random_rational_pmf,
     random_targets,
 )
 
@@ -41,13 +40,17 @@ F = Fraction
 def reference_rays(H):
     """Double description with the pairwise Python scan of integer support masks.
 
-    Same scan order, dedup and sort as ``extreme_rays``, with the adjacency
+    Same scan order and dedup as ``enumerate_vertices``, with the adjacency
     filter written as a plain loop: the reference for the vectorized filter.
+    Every pair the combinatorial test accepts must also pass the algebraic
+    rank test, which the package no longer runs; that is asserted here.
+    Returns the rays in vertex order and the label of the row that emptied
+    the cone (None when it did not).
     """
     n = H.n_cols
     rays = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     processed = []
-    for h in _integer_rows(H):
+    for label, h in zip(H.labels, _integer_rows(H)):
         masks = [sum(1 << c for c, v in enumerate(r) if v) for r in rays]
         vals = [sum(a * b for a, b in zip(h, r)) for r in rays]
         new_rays = [r for r, v in zip(rays, vals) if v == 0]
@@ -58,8 +61,9 @@ def reference_rays(H):
                 if any(k not in (ip, im) and m & ~union == 0 for k, m in enumerate(masks)):
                     continue
                 cols = [c for c in range(n) if union >> c & 1]
-                if int_rank([[row[c] for c in cols] for row in processed]) != len(cols) - 2:
-                    continue
+                assert int_rank([[row[c] for c in cols] for row in processed]) == len(cols) - 2, (
+                    f"row {label}: a combinatorially adjacent pair fails the rank test"
+                )
                 ray = _primitive([vals[ip] * b - vals[im] * a for a, b in zip(rays[ip], rays[im])])
                 if ray not in seen:
                     seen.add(ray)
@@ -67,8 +71,8 @@ def reference_rays(H):
         rays = new_rays
         processed.append(h)
         if not rays:
-            break
-    return tuple(sorted(rays, key=lambda r: [F(v, sum(r)) for v in r], reverse=True))
+            return (), label
+    return tuple(sorted(rays, key=lambda r: [F(v, sum(r)) for v in r], reverse=True)), None
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +87,8 @@ class TestExtremeRays:
 
     def test_d2_independence_single_ray(self):
         targets = MarginTargets.uniform(2, {(1, 2): F(1, 4)})
-        rays = extreme_rays(build_H(targets))
-        assert rays.rays == ((1, 1, 1, 1),)
-        assert normalize(rays).vertices[0].cells == (F(1, 4),) * 4
+        V = enumerate_vertices(build_H(targets))
+        assert [v.cells for v in V.vertices] == [(F(1, 4),) * 4]
 
     def test_d2_general_single_point(self):
         targets = MarginTargets.uniform(2, {(1, 2): F(3, 10)})
@@ -99,10 +102,9 @@ class TestExtremeRays:
         targets = MarginTargets.uniform(
             3, {(1, 2): F(1, 10), (1, 3): F(1, 10), (2, 3): F(1, 10)}
         )
-        rays = extreme_rays(build_H(targets))
-        assert rays.rays == ()
-        assert rays.empty_certificate is not None
-        assert normalize(rays).empty_certificate == rays.empty_certificate
+        V = enumerate_vertices(build_H(targets))
+        assert V.vertices == ()
+        assert V.empty_certificate is not None
 
     def test_water_count(self, water):
         V = enumerate_vertices(build_H(targets_from_pmf(water, digits=3)))
@@ -119,12 +121,28 @@ class TestExtremeRays:
         assert {tuple(reversed(c)) for c in cells} == cells
 
     def test_matches_pairwise_scan_reference(self, water):
-        # water, and the 88-ray system of test_d4_degenerate_system_stays_reflect_closed
+        # water, the 88-ray system of test_d4_degenerate_system_stays_reflect_closed,
+        # seeded random systems and the empty system of test_empty_cone_is_a_value_with_certificate
         weights = [14, 17, 6, 5, 16, 4, 17, 2, 18, 10, 7, 15, 6, 3, 8, 4]
         degenerate = Pmf.from_cells([F(w, sum(weights)) for w in weights])
-        for p, digits in ((water, 3), (degenerate, 2)):
-            H = build_H(targets_from_pmf(p, digits=digits))
-            assert extreme_rays(H).rays == reference_rays(H)
+        systems = [build_H(targets_from_pmf(p, digits=g)) for p, g in ((water, 3), (degenerate, 2))]
+        rng = random.Random(2718)
+        # the d=4 observed-margin reference takes ~2 s, so it runs once
+        for d, margins, digits in [
+            (3, "uniform", 1), (3, "uniform", 2), (3, "observed", 1), (3, "observed", 2),
+            (3, "uniform", 2), (3, "observed", 1),
+            (4, "uniform", 1), (4, "uniform", 2), (4, "uniform", 2), (4, "observed", 1),
+        ]:
+            p = random_rational_pmf(rng, d, positive=True)
+            systems.append(build_H(targets_from_pmf(p, digits=digits, margins=margins)))
+        systems.append(
+            build_H(MarginTargets.uniform(3, {(1, 2): F(1, 10), (1, 3): F(1, 10), (2, 3): F(1, 10)}))
+        )
+        for H in systems:
+            rays, certificate = reference_rays(H)
+            V = enumerate_vertices(H)
+            assert [v.cells for v in V.vertices] == [tuple(F(v, sum(r)) for v in r) for r in rays]
+            assert V.empty_certificate == certificate
 
     def test_masks_wider_than_one_word(self, example1_H3):
         # d=7 has 128 cells, two mask words; the d=3 system sits on cells
@@ -137,12 +155,12 @@ class TestExtremeRays:
         H7 = ConstraintMatrix(d=7, rows=rows, labels=example1_H3.labels, targets=example1_H3.targets)
         embedded = {
             tuple(ray[c - offset] if offset <= c < offset + 8 else 0 for c in range(128))
-            for ray in extreme_rays(example1_H3).rays
+            for ray in _extreme_rays(example1_H3)[0]
         }
         units = {
             tuple(int(c == j) for c in range(128)) for j in range(128) if not offset <= j < offset + 8
         }
-        rays = extreme_rays(H7).rays
+        rays, _ = _extreme_rays(H7)
         assert len(rays) == len(embedded) + 120
         assert set(rays) == embedded | units
 
@@ -160,14 +178,13 @@ class TestExtremeRays:
     def test_row_trace_is_logged(self, water, caplog):
         H = build_H(targets_from_pmf(water, digits=3))
         with caplog.at_level(logging.DEBUG, logger="bintab.geometry"):
-            extreme_rays(H)
+            enumerate_vertices(H)
         rows = [r.args for r in caplog.records if r.name == "bintab.geometry"]
         assert [r["row"] for r in rows] == list(H.labels)
         assert rows[-1]["rays_out"] == 96
         for prev, r in zip([{"rays_out": 16}] + rows, rows):
             assert r["rays_in"] == prev["rays_out"]
             assert r["candidate_pairs"] >= r["popcount_pairs"] >= r["subset_pairs"]
-            assert r["rank_rejected"] == 0
 
     def test_insertion_order_irrelevant(self, example1_H3):
         base = {v.cells for v in enumerate_vertices(example1_H3).vertices}

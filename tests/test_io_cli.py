@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import bintab
-from bintab import TableParseError
+from bintab import MarginTargets, TableParseError, all_pairs, targets_from_pmf
 from bintab.cli import main
 from bintab.io import (
     document_from_csv,
@@ -21,6 +21,8 @@ from bintab.io import (
     load_table,
     parse_rational,
     pmf_to_document,
+    targets_from_json_dict,
+    targets_to_json_dict,
 )
 
 F = Fraction
@@ -128,6 +130,22 @@ class TestBuiltins:
             load_table("builtin:nope")
 
 
+class TestAxisKeys:
+    def test_targets_round_trip_d10(self):
+        # the concatenated key of pair (1, 10), "110", read back as (1, 1)
+        targets = MarginTargets.uniform(10, {pair: F(1, 4) for pair in all_pairs(10)})
+        obj = targets_to_json_dict(targets)
+        assert "1,10" in obj["moments"]
+        assert targets_from_json_dict(json.loads(json.dumps(obj))) == targets
+
+    def test_legacy_two_digit_keys(self, example1):
+        targets = targets_from_pmf(example1, digits=3)
+        obj = targets_to_json_dict(targets)
+        obj["moments"] = {key.replace(",", ""): entry for key, entry in obj["moments"].items()}
+        assert set(obj["moments"]) == {"12", "13", "23"}
+        assert targets_from_json_dict(obj) == targets
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -138,15 +156,15 @@ class TestCliAnalyze:
         result = runner.invoke(main, ["analyze", "builtin:example1", "--json"])
         assert result.exit_code == 0
         payload = json.loads(result.output)
-        assert payload["marginal_odds_ratios"]["12"] == pytest.approx(0.40, abs=5e-3)
-        assert payload["marginal_odds_ratios"]["13"] == pytest.approx(0.64, abs=5e-3)
-        assert payload["marginal_odds_ratios"]["23"] == pytest.approx(1.11, abs=5e-3)
+        assert payload["marginal_odds_ratios"]["1,2"] == pytest.approx(0.40, abs=5e-3)
+        assert payload["marginal_odds_ratios"]["1,3"] == pytest.approx(0.64, abs=5e-3)
+        assert payload["marginal_odds_ratios"]["2,3"] == pytest.approx(1.11, abs=5e-3)
 
     def test_raters_includes_top_order(self, runner):
         result = runner.invoke(main, ["analyze", "builtin:raters", "--json"])
         payload = json.loads(result.output)
         assert payload["top_order_odds_ratio"] == pytest.approx(2.96625, abs=1e-5)
-        assert payload["marginal_odds_ratios"]["23"] == pytest.approx(56.672, abs=1e-3)
+        assert payload["marginal_odds_ratios"]["2,3"] == pytest.approx(56.672, abs=1e-3)
 
     def test_uniform_table_text(self, runner, tmp_path):
         table = tmp_path / "uniform.json"
@@ -202,24 +220,38 @@ class TestCliVertices:
         result = runner.invoke(main, [command, str(table)])
         assert result.exit_code == 2
 
-    def test_one_enumeration_per_call(self, runner, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            pytest.param(["vertices", "builtin:water", "--digits", "3"], "dimension 5", id="vertices"),
+            pytest.param(
+                ["sample", "builtin:water", "--digits", "3", "--method", "hitrun",
+                 "--count", "2", "--burn-in", "5", "--thinning", "1"],
+                '"method": "hitrun"',
+                id="sample-hitrun",
+            ),
+            pytest.param(["ipf", "builtin:water", "--digits", "3"], "IPF converged", id="ipf"),
+        ],
+    )
+    def test_one_enumeration_per_call(self, runner, monkeypatch, argv, expected):
         import bintab.cli
         import bintab.geometry
+        import bintab.ipf
 
         calls = []
-        original = bintab.geometry.extreme_rays
+        original = bintab.geometry._extreme_rays
 
         def counting(H):
             calls.append(H)
             return original(H)
 
-        # also any reference the CLI holds by name, so no call escapes the count
-        for module in (bintab.geometry, bintab.cli):
-            if hasattr(module, "extreme_rays"):
-                monkeypatch.setattr(module, "extreme_rays", counting)
-        result = runner.invoke(main, ["vertices", "builtin:water", "--digits", "3"])
+        # also any reference a module holds by name, so no call escapes the count
+        for module in (bintab.geometry, bintab.cli, bintab.ipf):
+            if hasattr(module, "_extreme_rays"):
+                monkeypatch.setattr(module, "_extreme_rays", counting)
+        result = runner.invoke(main, argv)
         assert result.exit_code == 0
-        assert "dimension 5" in result.output
+        assert expected in result.output
         assert len(calls) == 1
 
     def test_unsupported_targets_exit_code(self, runner, tmp_path):
@@ -260,6 +292,18 @@ class TestCliPipelines:
         weights = json.loads(result.output)["weights"]
         assert weights == [1.0, 0.0]
 
+    def test_malformed_moment_key_exit_code(self, runner, tmp_path):
+        vertex_file = tmp_path / "vertices.json"
+        runner.invoke(
+            main,
+            ["vertices", "builtin:example1", "--digits", "3", "--output", str(vertex_file)],
+        )
+        payload = json.loads(vertex_file.read_text())
+        payload["targets"]["moments"]["ab"] = payload["targets"]["moments"].pop("1,2")
+        vertex_file.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["mixture", str(vertex_file), "--weights", "1,0"])
+        assert result.exit_code == 3
+
     def test_decompose_outside_polytope(self, runner, tmp_path):
         vertex_file = tmp_path / "vertices.json"
         runner.invoke(
@@ -273,7 +317,7 @@ class TestCliPipelines:
         result = runner.invoke(main, ["targets", "builtin:example1", "--digits", "3", "--json"])
         assert result.exit_code == 0
         payload = json.loads(result.output)
-        assert payload["moments"]["12"]["rational"] == "97/500"
+        assert payload["moments"]["1,2"]["rational"] == "97/500"
         result = runner.invoke(main, ["constraints", "builtin:example1", "--digits", "3", "--json"])
         payload = json.loads(result.output)
         assert len(payload["rows"]) == 6
