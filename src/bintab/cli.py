@@ -199,8 +199,8 @@ def targets(source, as_json, digits, margins):
     click.echo(f"margins mode: {margins}")
     for i, m in enumerate(tgt.univariate, start=1):
         click.echo(f"  m{i} = {m} ({_fmt(float(m))})")
-    for (i, j), mu in tgt.moments.items():
-        click.echo(f"  mu{i}{j} = {mu} ({_fmt(float(mu))})")
+    for pair, mu in tgt.moments.items():
+        click.echo(f"  mu{axes_key(pair)} = {mu} ({_fmt(float(mu))})")
 
 
 @main.command()
@@ -218,7 +218,7 @@ def constraints(source, as_json, digits, margins):
         return
     click.echo(f"{H.n_rows} x {H.n_cols} constraint matrix")
     for label, row in zip(H.labels, H.rows):
-        name = f"{label[0]} {''.join(str(v) for v in label[1:])}"
+        name = f"{label[0]} {axes_key(label[1:])}"
         click.echo(f"  {name:>12}: " + " ".join(str(v) for v in row))
 
 

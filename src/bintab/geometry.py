@@ -23,14 +23,28 @@ method revisited", 1996).  The cone is pointed, and every step keeps the
 rays on the hyperplane and adds one primitive, deduplicated ray per
 adjacent split pair, so the ray set stays exactly the extreme rays from
 the unit vectors onward, and the combinatorial test decides adjacency
-exactly.  It runs vectorized over the ray supports, which are kept as a
-(rays x ceil(2^d / 64)) ``uint64`` array of bit masks:
+exactly.
 
-* the popcount bound, a necessary condition: the rank is at most the
-  number of rows inserted so far, so ``|S| <= rows + 2``;
-* the subset count: for each positive ray, the masks lying inside each
-  union are counted in one array operation, in chunks of about 1 MB, and
-  a pair is adjacent when the count is exactly 2.
+Each row is one pass of whole-array numpy operations over the (rays x 2^d)
+integer matrix R of the current rays:
+
+* the values ``R @ h`` split the rays into zero, positive and negative;
+* the popcount bound, a necessary condition on each split pair: the rank is
+  at most the number of rows inserted so far, so ``|S| <= rows + 2``.  The
+  ray supports are kept as a (rays x ceil(2^d / 64)) ``uint64`` array of
+  bit masks, and the unions are formed for blocks of positive rays against
+  all negative rays at once, each block about 1 MB;
+* the subset count over all pairs within the bound, in chunks of about
+  1 MB: a pair is adjacent when exactly 2 masks lie inside its union;
+* one expression ``(h.r_a) r_b - (h.r_b) r_a`` builds every new ray, and
+  the gcd of each row makes it primitive.  New rays are kept in pos-major,
+  neg-minor pair order, first occurrence only.
+
+R is int64 only while a bound computed from the data proves that no
+intermediate overflows: ``n * max|h| * max|R| < 2^62`` before the values,
+``2 * max|h.r| * max|R| < 2^62`` before the combination.  Otherwise the
+same operations run on Python ints (``dtype=object``), so results stay
+exact for any target precision.
 
 Each inserted row emits one debug record on the ``bintab.geometry`` logger
 with its counts: rays in and out, candidate pairs, and pairs left after
@@ -47,7 +61,8 @@ on some cells.
 its coordinate sum into a vertex pmf.  Everything is deterministic:
 candidate pairs are scanned in a fixed order and the vertices are sorted by
 descending lexicographic order of their cells, which also pairs reflected
-vertices stably.
+vertices stably.  The sort key is exact and integer: ``ray * (L // sum(ray))``
+with L the lcm of the ray sums, which is the cell vector scaled by L.
 """
 
 from __future__ import annotations
@@ -76,6 +91,9 @@ EXACT_DECOMPOSE_LIMIT = 16
 
 #: Size of the (candidate pairs x rays) block of one vectorized subset test.
 _SUBSET_BLOCK_BYTES = 1 << 20
+
+#: int64 ray arithmetic is used only when a bound on every intermediate is below this.
+_INT64_BOUND = 1 << 62
 
 logger = logging.getLogger(__name__)
 
@@ -152,74 +170,87 @@ def _integer_rows(H: ConstraintMatrix) -> List[Tuple[int, ...]]:
     return out
 
 
-def _primitive(vec: Sequence[int]) -> IntRay:
-    g = 0
-    for v in vec:
-        g = math.gcd(g, v)
-    if g > 1:
-        return tuple(v // g for v in vec)
-    return tuple(vec)
+def _exact(bound: int, *arrays: np.ndarray) -> List[np.ndarray]:
+    """The arrays as int64 when ``bound`` on every intermediate is below 2^62, else as Python ints."""
+    dtype = np.int64 if bound < _INT64_BOUND else object
+    return [a.astype(dtype, copy=False) for a in arrays]
 
 
-def _mask_words(rays: Sequence[IntRay], n: int) -> np.ndarray:
-    """Support masks as a (rays x ceil(n/64)) uint64 array; word w holds cells 64w..64w+63."""
-    words = -(-n // 64)
-    nonzero = np.zeros((len(rays), 64 * words), dtype=bool)
-    if rays:
-        nonzero[:, :n] = [[v != 0 for v in r] for r in rays]
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _mask_words(R: np.ndarray) -> np.ndarray:
+    """Support masks of the rows of R as a (rays x ceil(n/64)) uint64 array; word w holds cells 64w..64w+63."""
+    n = R.shape[1]
+    nonzero = np.zeros((R.shape[0], 64 * -(-n // 64)), dtype=bool)
+    nonzero[:, :n] = R != 0
     return np.packbits(nonzero, axis=1, bitorder="little").view(np.uint64)
 
 
+def _adjacent_pairs(masks: np.ndarray, pos: np.ndarray, neg: np.ndarray, inserted: int):
+    """The adjacent split pairs as index arrays (pos-major, neg-minor), and how many passed the popcount bound."""
+    n_words = masks.shape[1]
+    # rank(A_S) <= inserted, so an adjacent pair has |S| <= inserted + 2
+    max_support = inserted + 2
+    block = max(1, _SUBSET_BLOCK_BYTES // (8 * len(neg) * n_words))
+    ip, im = [], []
+    for start in range(0, len(pos), block):
+        part = pos[start : start + block]
+        unions = masks[part, None, :] | masks[None, neg, :]
+        a, b = np.nonzero(np.bitwise_count(unions).sum(axis=2) <= max_support)
+        ip.append(part[a])
+        im.append(neg[b])
+    ip, im = np.concatenate(ip), np.concatenate(im)
+    chunk = max(1, _SUBSET_BLOCK_BYTES // (8 * len(masks)))
+    adjacent = np.zeros(len(ip), dtype=bool)
+    for start in range(0, len(ip), chunk):
+        stop = start + chunk
+        unions = masks[ip[start:stop]] | masks[im[start:stop]]
+        outside = np.zeros((len(unions), len(masks)), dtype=bool)
+        for w in range(n_words):
+            outside |= (masks[:, w] & ~unions[:, w, None]) != 0
+        # the pair itself always lies inside its union; a third ray there rules it out
+        adjacent[start:stop] = np.count_nonzero(~outside, axis=1) == 2
+    return ip[adjacent], im[adjacent], len(ip)
+
+
 def _insert_equality(
-    rays: List[IntRay],
+    R: np.ndarray,
     masks: np.ndarray,
     inserted: int,
     h: Tuple[int, ...],
-) -> Tuple[List[IntRay], np.ndarray, dict]:
-    """Refine the cone by ``h . y = 0``; return the new rays, their masks and the row's counts.
+) -> Tuple[np.ndarray, np.ndarray, dict]:
+    """Refine the cone by ``h . y = 0``; return the new ray matrix, its masks and the row's counts.
 
-    ``inserted`` is the number of rows inserted before ``h``.
+    ``R`` holds one ray per row and ``inserted`` is the number of rows
+    inserted before ``h``.
     """
-    vals = [sum(hc * rc for hc, rc in zip(h, r)) for r in rays]
-    zero = [i for i, v in enumerate(vals) if v == 0]
-    pos = [i for i, v in enumerate(vals) if v > 0]
-    neg = [i for i, v in enumerate(vals) if v < 0]
-    new_rays = [rays[i] for i in zero]
+    R, h_col = _exact(len(h) * max(map(abs, h)) * _max_abs(R), R, np.array(h, dtype=object))
+    vals = R @ h_col
+    zero, pos, neg = np.flatnonzero(vals == 0), np.flatnonzero(vals > 0), np.flatnonzero(vals < 0)
     counts = {
-        "rays_in": len(rays),
+        "rays_in": len(R),
         "candidate_pairs": len(pos) * len(neg),
         "popcount_pairs": 0,
         "subset_pairs": 0,
     }
-    if not pos or not neg:
-        return new_rays, masks[zero], counts
-    seen = set(new_rays)
-    neg_masks = masks[neg]
-    # rank(A_S) <= inserted, so an adjacent pair has |S| <= inserted + 2
-    max_support = inserted + 2
-    chunk = max(1, _SUBSET_BLOCK_BYTES // (8 * len(rays)))
-    for ip in pos:
-        rp = rays[ip]
-        unions = neg_masks | masks[ip]
-        near = np.flatnonzero(np.bitwise_count(unions).sum(axis=1) <= max_support)
-        counts["popcount_pairs"] += len(near)
-        for start in range(0, len(near), chunk):
-            part = near[start : start + chunk]
-            outside = np.zeros((len(part), len(rays)), dtype=bool)
-            for w in range(masks.shape[1]):
-                outside |= (masks[:, w] & ~unions[part, w][:, None]) != 0
-            # the pair itself always lies inside its union; a third ray there rules it out
-            adjacent = part[np.count_nonzero(~outside, axis=1) == 2]
-            counts["subset_pairs"] += len(adjacent)
-            for k in adjacent.tolist():
-                im = neg[k]
-                rm = rays[im]
-                ray = _primitive(tuple(vals[ip] * b - vals[im] * a for a, b in zip(rp, rm)))
-                if ray not in seen:
-                    seen.add(ray)
-                    new_rays.append(ray)
-    new_masks = np.concatenate([masks[zero], _mask_words(new_rays[len(zero) :], len(h))])
-    return new_rays, new_masks, counts
+    if not len(pos) or not len(neg):
+        return R[zero], masks[zero], counts
+    a, b, counts["popcount_pairs"] = _adjacent_pairs(masks, pos, neg, inserted)
+    counts["subset_pairs"] = len(a)
+    R, vals = _exact(2 * _max_abs(vals) * _max_abs(R), R, vals)
+    # vals[a] > 0 > vals[b]: a positive combination of r_a and r_b on the hyperplane
+    new = vals[a, None] * R[b] - vals[b, None] * R[a]
+    new //= np.gcd.reduce(new, axis=1)[:, None]
+    seen = set(map(tuple, R[zero].tolist()))
+    first = []
+    for k, ray in enumerate(map(tuple, new.tolist())):
+        if ray not in seen:
+            seen.add(ray)
+            first.append(k)
+    new = new[first]
+    return np.concatenate([R[zero], new]), np.concatenate([masks[zero], _mask_words(new)]), counts
 
 
 def _extreme_rays(H: ConstraintMatrix) -> Tuple[List[IntRay], Optional[tuple]]:
@@ -228,32 +259,36 @@ def _extreme_rays(H: ConstraintMatrix) -> Tuple[List[IntRay], Optional[tuple]]:
     The rays are primitive integer vectors; the label is None unless the
     cone is {0}.
     """
-    n = H.n_cols
-    rays: List[IntRay] = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    masks = _mask_words(rays, n)
+    R = np.eye(H.n_cols, dtype=np.int64)
+    masks = _mask_words(R)
     for inserted, (label, h) in enumerate(zip(H.labels, _integer_rows(H))):
-        rays, masks, counts = _insert_equality(rays, masks, inserted, h)
-        counts.update(row=label, rays_out=len(rays))
+        R, masks, counts = _insert_equality(R, masks, inserted, h)
+        counts.update(row=label, rays_out=len(R))
         logger.debug(
             "row %(row)s: %(rays_in)d -> %(rays_out)d rays; %(candidate_pairs)d candidate pairs, "
             "%(popcount_pairs)d within the popcount bound, %(subset_pairs)d adjacent",
             counts,
         )
-        if not rays:
-            return rays, label
-    return rays, None
+        if not len(R):
+            return [], label
+    return list(map(tuple, R.tolist())), None
 
 
 def enumerate_vertices(H: ConstraintMatrix) -> VertexSet:
     """Extreme pmfs of the feasible polytope: each extreme ray divided by its coordinate sum."""
     rays, certificate = _extreme_rays(H)
+    sums = [sum(ray) for ray in rays]
+    if any(s <= 0 for s in sums):
+        raise AssertionError("extreme ray with nonpositive sum; enumeration invariant broken")
+    # ray * (L // s) is the vertex ray / s scaled by L: integer keys in the order of the cells
+    L = math.lcm(*sums)
+    scale = [L // s for s in sums]
+    order = sorted(range(len(rays)), key=lambda k: tuple(v * scale[k] for v in rays[k]), reverse=True)
     vertices = []
-    for ray in rays:
-        s = sum(ray)
-        if s <= 0:
-            raise AssertionError("extreme ray with nonpositive sum; enumeration invariant broken")
-        vertices.append(Pmf(d=H.d, cells=tuple(Fraction(v, s) for v in ray), mode=RATIONAL))
-    vertices.sort(key=lambda v: v.cells, reverse=True)
+    for k in order:
+        # one Fraction per distinct entry: most cells of a vertex are 0
+        cell = {v: Fraction(v, sums[k]) for v in set(rays[k])}
+        vertices.append(Pmf(d=H.d, cells=tuple(map(cell.__getitem__, rays[k])), mode=RATIONAL))
     return VertexSet(vertices=tuple(vertices), constraints=H, empty_certificate=certificate)
 
 

@@ -108,10 +108,12 @@ class Pmf:
                 f"expected {2**self.d} cells for d={self.d}, got {len(self.cells)}"
             )
         if self.mode == RATIONAL:
-            cells = tuple(Fraction(c) for c in self.cells)
-            if any(c < 0 for c in cells):
+            cells = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.cells)
+            if any(c.numerator < 0 for c in cells):
                 raise DomainError("negative cell probability")
-            if sum(cells) != 1:
+            # sum == 1 in integers over the common denominator
+            common = math.lcm(*(c.denominator for c in cells))
+            if sum(c.numerator * (common // c.denominator) for c in cells) != common:
                 raise DomainError(f"cells sum to {sum(cells)}, expected exactly 1")
         elif self.mode == FLOAT:
             cells = tuple(float(c) for c in self.cells)

@@ -1,6 +1,7 @@
 """Vertex enumeration, mixtures, and decomposition."""
 
 import logging
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from bintab import (
     top_order_odds_ratio,
 )
 from bintab._linalg import frac_rank, int_rank
-from bintab.geometry import _extreme_rays, _integer_rows, _primitive
+from bintab.geometry import _extreme_rays, _integer_rows
 from conftest import (
     EXAMPLE1_VERTEX_A,
     EXAMPLE1_VERTEX_B,
@@ -35,6 +36,14 @@ from conftest import (
 )
 
 F = Fraction
+
+
+def primitive(vec):
+    """``vec`` divided by the gcd of its entries, in plain Python ints."""
+    g = 0
+    for v in vec:
+        g = math.gcd(g, v)
+    return tuple(v // g for v in vec)
 
 
 def reference_rays(H):
@@ -64,7 +73,7 @@ def reference_rays(H):
                 assert int_rank([[row[c] for c in cols] for row in processed]) == len(cols) - 2, (
                     f"row {label}: a combinatorially adjacent pair fails the rank test"
                 )
-                ray = _primitive([vals[ip] * b - vals[im] * a for a, b in zip(rays[ip], rays[im])])
+                ray = primitive([vals[ip] * b - vals[im] * a for a, b in zip(rays[ip], rays[im])])
                 if ray not in seen:
                     seen.add(ray)
                     new_rays.append(ray)
@@ -125,7 +134,11 @@ class TestExtremeRays:
         # seeded random systems and the empty system of test_empty_cone_is_a_value_with_certificate
         weights = [14, 17, 6, 5, 16, 4, 17, 2, 18, 10, 7, 15, 6, 3, 8, 4]
         degenerate = Pmf.from_cells([F(w, sum(weights)) for w in weights])
-        systems = [build_H(targets_from_pmf(p, digits=g)) for p, g in ((water, 3), (degenerate, 2))]
+        # water at digits 9 and 15 has ray entries up to 5.9e8 and 5.9e14, past the int64 bound
+        systems = [
+            build_H(targets_from_pmf(p, digits=g))
+            for p, g in ((water, 3), (water, 9), (water, 15), (degenerate, 2))
+        ]
         rng = random.Random(2718)
         # the d=4 observed-margin reference takes ~2 s, so it runs once
         for d, margins, digits in [
@@ -181,7 +194,11 @@ class TestExtremeRays:
             enumerate_vertices(H)
         rows = [r.args for r in caplog.records if r.name == "bintab.geometry"]
         assert [r["row"] for r in rows] == list(H.labels)
-        assert rows[-1]["rays_out"] == 96
+        # the trajectory of the pairwise scan, count for count
+        assert [r["rays_out"] for r in rows] == [64, 32, 48, 48, 200, 256, 196, 192, 128, 96]
+        assert [r["candidate_pairs"] for r in rows] == [64, 256, 64, 196, 476, 9964, 8640, 8160, 9072, 4080]
+        assert [r["popcount_pairs"] for r in rows] == [64, 0, 64, 32, 200, 304, 196, 192, 128, 96]
+        assert [r["subset_pairs"] for r in rows] == [64, 0, 32, 28, 200, 256, 196, 192, 128, 96]
         for prev, r in zip([{"rays_out": 16}] + rows, rows):
             assert r["rays_in"] == prev["rays_out"]
             assert r["candidate_pairs"] >= r["popcount_pairs"] >= r["subset_pairs"]

@@ -138,6 +138,17 @@ class TestAxisKeys:
         assert "1,10" in obj["moments"]
         assert targets_from_json_dict(json.loads(json.dumps(obj))) == targets
 
+    def test_text_outputs_d10(self, runner, tmp_path):
+        # "mu110" and "moment 110" cannot be read back as the pair (1, 10)
+        table = tmp_path / "d10.json"
+        table.write_text(json.dumps({"cells": [1 + k % 7 for k in range(2**10)]}))
+        targets = runner.invoke(main, ["targets", str(table), "--digits", "3"])
+        constraints = runner.invoke(main, ["constraints", str(table), "--digits", "3"])
+        assert targets.exit_code == 0 and constraints.exit_code == 0
+        assert "  mu1,10 = " in targets.output and "mu110" not in targets.output
+        assert "moment 1,10: " in constraints.output and "moment 110" not in constraints.output
+        assert "margin 10: " in constraints.output
+
     def test_legacy_two_digit_keys(self, example1):
         targets = targets_from_pmf(example1, digits=3)
         obj = targets_to_json_dict(targets)

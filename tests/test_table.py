@@ -55,6 +55,17 @@ class TestPmfValidation:
         with pytest.raises(DomainError):
             Pmf.from_cells([F(1, 2), F(1, 4), F(1, 8), F(1, 16)])
 
+    def test_rational_inputs_int_str_fraction(self):
+        p = Pmf(d=2, cells=(0, "1/4", F(1, 4), F(1, 2)), mode="rational")
+        assert p.cells == (F(0), F(1, 4), F(1, 4), F(1, 2))
+        assert all(type(c) is Fraction for c in p.cells)
+        with pytest.raises(DomainError, match="negative cell probability"):
+            Pmf(d=2, cells=(F(-1, 4), "1/4", 1, 0), mode="rational")
+        off = F(1, 10**12)
+        with pytest.raises(DomainError, match="expected exactly 1") as err:
+            Pmf(d=2, cells=(F(1, 4) + off, "1/4", F(1, 4), F(1, 4)), mode="rational")
+        assert str(F(1) + off) in str(err.value)
+
     def test_negative_cell_rejected(self):
         with pytest.raises(DomainError):
             Pmf.from_cells([F(3, 2), F(-1, 2), F(0), F(0)])
