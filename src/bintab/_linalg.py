@@ -1,25 +1,50 @@
 """Exact linear algebra over rationals and integers.
 
-Small dense systems only (at most a few dozen rows/columns); everything
-here is plain Gaussian elimination on ``fractions.Fraction`` entries, plus
-a fraction-free Bareiss rank for integer matrices, which is what the
-vertex-enumeration inner loop uses.
+Small dense systems only (at most a few dozen rows/columns).  Rational
+rows are scaled to primitive integer rows with :func:`_integer_rows`, and
+both eliminations run on Python integers: a fraction-free Gauss-Jordan for
+the reduced row echelon form, divided into Fractions once per pivot row at
+the end, and a fraction-free Bareiss rank, which is what the
+vertex-enumeration code uses.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+
+def _integer_rows(rows: Sequence[Sequence]) -> List[Tuple[int, ...]]:
+    """Scale each rational row to a primitive integer row (same row space, same kernel).
+
+    Entries are ints or Fractions; a zero row stays zero.
+    """
+    out = []
+    for row in rows:
+        lcm = math.lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (lcm // v.denominator) for v in row]
+        g = math.gcd(*ints)
+        out.append(tuple(v // g for v in ints) if g > 1 else tuple(ints))
+    return out
 
 
 def frac_rref(rows: Sequence[Sequence[Fraction]]):
     """Reduced row echelon form.
 
     Returns ``(rref_rows, pivot_columns)`` where ``rref_rows`` is a list of
-    lists of Fractions and ``pivot_columns`` lists the pivot column of each
-    nonzero row.
+    lists of Fractions, as many as the input rows (zero rows last), and
+    ``pivot_columns`` lists the pivot column of each nonzero row.
+
+    The elimination runs on primitive integer rows: clearing column ``c``
+    of row ``i`` with pivot row ``p`` is ``p[c] * row_i - row_i[c] * p``,
+    after which row ``i`` is divided by the gcd of its entries.  Each pivot
+    row is divided by its pivot entry at the end.  The reduced row echelon
+    form of a matrix is unique, so this is the same result as Gauss-Jordan
+    over Fractions.
     """
-    m = [list(map(Fraction, row)) for row in rows]
+    rational = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
+    m = [list(row) for row in _integer_rows(rational)]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -30,17 +55,26 @@ def frac_rref(rows: Sequence[Sequence[Fraction]]):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
+        p = m[r]
+        pc = p[c]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                row = [pc * a - f * b for a, b in zip(m[i], p)]
+                g = math.gcd(*row)
+                m[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    out = []
+    for i, row in enumerate(m):
+        if i < r:
+            pv = row[pivots[i]]
+            out.append([Fraction(v, pv) for v in row])
+        else:
+            out.append([Fraction(0)] * ncols)
+    return out, pivots
 
 
 def frac_rank(rows: Sequence[Sequence[Fraction]]) -> int:

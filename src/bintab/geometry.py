@@ -76,7 +76,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._linalg import affine_rank, frac_solve, int_rank
+from ._linalg import _integer_rows, affine_rank, frac_solve, int_rank
 from .constraints import ConstraintMatrix
 from .errors import (
     DimensionMismatchError,
@@ -151,23 +151,6 @@ class MixtureWeights:
 # ---------------------------------------------------------------------------
 # double description
 # ---------------------------------------------------------------------------
-
-
-def _integer_rows(H: ConstraintMatrix) -> List[Tuple[int, ...]]:
-    """Scale each rational row to a primitive integer row (same kernel)."""
-    out = []
-    for row in H.rows:
-        lcm = 1
-        for v in row:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        ints = [int(v.numerator * (lcm // v.denominator)) for v in row]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(tuple(ints))
-    return out
 
 
 def _exact(bound: int, *arrays: np.ndarray) -> List[np.ndarray]:
@@ -261,7 +244,7 @@ def _extreme_rays(H: ConstraintMatrix) -> Tuple[List[IntRay], Optional[tuple]]:
     """
     R = np.eye(H.n_cols, dtype=np.int64)
     masks = _mask_words(R)
-    for inserted, (label, h) in enumerate(zip(H.labels, _integer_rows(H))):
+    for inserted, (label, h) in enumerate(zip(H.labels, _integer_rows(H.rows))):
         R, masks, counts = _insert_equality(R, masks, inserted, h)
         counts.update(row=label, rays_out=len(R))
         logger.debug(
@@ -301,7 +284,7 @@ def _require_nonempty(found: Sequence, certificate, message: str = "the feasible
 def _support_dimension(H: ConstraintMatrix, points) -> int:
     """``|S| - 1 - rank(H on the S columns)`` for S the union of the points' supports."""
     cols = sorted({c for p in points for c, v in enumerate(p) if v})
-    return len(cols) - 1 - int_rank([[row[c] for c in cols] for row in _integer_rows(H)])
+    return len(cols) - 1 - int_rank([[row[c] for c in cols] for row in _integer_rows(H.rows)])
 
 
 def polytope_dimension(H: ConstraintMatrix) -> int:
@@ -337,18 +320,14 @@ def mixture(weights: Union[MixtureWeights, Sequence], V: VertexSet) -> Pmf:
         )
     d = V.vertices[0].d
     n = 2**d
+    # a zero weight adds 0 (or +0.0) to every cell, which changes no sum
+    terms = [(t, v.cells) for t, v in zip(theta, V.vertices) if t]
     if all(isinstance(t, Fraction) for t in theta) and all(
         v.mode == RATIONAL for v in V.vertices
     ):
-        cells = tuple(
-            sum((t * v.cells[k] for t, v in zip(theta, V.vertices)), Fraction(0))
-            for k in range(n)
-        )
+        cells = tuple(sum((t * v[k] for t, v in terms), Fraction(0)) for k in range(n))
         return Pmf(d=d, cells=cells, mode=RATIONAL)
-    cells = tuple(
-        math.fsum(float(t) * float(v.cells[k]) for t, v in zip(theta, V.vertices))
-        for k in range(n)
-    )
+    cells = tuple(math.fsum(float(t) * float(v[k]) for t, v in terms) for k in range(n))
     return Pmf(d=d, cells=cells, mode=FLOAT)
 
 

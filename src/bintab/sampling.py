@@ -17,10 +17,38 @@ variates are derived from its uniform doubles with the transformations
 coded here (inverse-exponential for Dirichlet, Box-Muller for directions),
 so a fixed seed reproduces the byte-identical draw sequence for a given
 numpy version on any platform.
+
+Both samplers take the uniforms in blocks of about ``_BLOCK_UNIFORMS``
+doubles and run everything that does not depend on the walk state as
+whole-block array operations; the draws are the same, bit for bit, as
+consuming the stream one step at a time:
+
+* Dirichlet: a block is a (draws x vertices) array of uniforms, one row per
+  draw, turned into exponentials and row sums at once.
+* Hit-and-run: a block row is one walk step in stream order, ``u1`` and
+  ``u2`` (``ceil(k/2)`` each, for Box-Muller on the k chart coordinates)
+  followed by the one uniform ``t`` that places the point on the chord.
+  The normals, their norms, the directions and the chord masks are
+  computed per block.  A step whose direction has zero norm or whose chord
+  is degenerate resamples the direction without drawing ``t``, so the
+  block rows after it no longer line up with the stream: the rest of the
+  block is derived again from the new stream position.
+
+Every product with a matrix stays one matrix-vector product per draw or
+step (the mixture ``theta @ M``, the direction ``N @ z`` and the point
+``x0 + N @ c``): a batched matrix-matrix product sums in another order and
+changes the last bits.  The norm of each direction is likewise its own
+``z . z``, the sum ``np.linalg.norm`` takes; an axis reduction does not
+reproduce it.
+
+Each call emits one DEBUG record on the ``bintab.sampling`` logger whose
+mapping arguments are ``method``, ``steps`` (walk moves, or draws for
+Dirichlet), ``kept`` and ``degenerate_chords`` (directions resampled).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +67,11 @@ START_TOL = 1e-9
 
 #: Direction components below this threshold do not constrain the chord.
 CHORD_EPS = 1e-13
+
+#: Uniform doubles per block (at least one draw or step per block).
+_BLOCK_UNIFORMS = 1 << 10
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -66,15 +99,26 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _standard_normals(rng: np.random.Generator, k: int) -> np.ndarray:
-    """Box-Muller from Philox uniforms (self-contained for reproducibility)."""
+def _log(method: str, steps: int, kept: int, degenerate_chords: int) -> None:
+    logger.debug(
+        "%(method)s: %(steps)d steps, %(kept)d kept, %(degenerate_chords)d degenerate chords",
+        {"method": method, "steps": steps, "kept": kept, "degenerate_chords": degenerate_chords},
+    )
+
+
+def _float_cells(p: Pmf) -> list:
+    """The cells as floats; for a Fraction ``numerator / denominator`` is ``float()``, minus the call overhead."""
+    if p.mode == FLOAT:
+        return list(p.cells)
+    return [c.numerator / c.denominator for c in p.cells]
+
+
+def _standard_normals(U: np.ndarray, k: int) -> np.ndarray:
+    """Box-Muller on each row ``[u1 (pairs), u2 (pairs), ...]`` of ``U``: k normals per row."""
     pairs = (k + 1) // 2
-    u1 = rng.random(pairs)
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = 2.0 * math.pi * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return z[:k]
+    radius = np.sqrt(-2.0 * np.log1p(-U[:, :pairs]))
+    angle = 2.0 * math.pi * U[:, pairs : 2 * pairs]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :k]
 
 
 def sample_dirichlet(V: VertexSet, cfg: SamplerConfig) -> List[Pmf]:
@@ -86,18 +130,22 @@ def sample_dirichlet(V: VertexSet, cfg: SamplerConfig) -> List[Pmf]:
     n_d = len(V.vertices)
     if n_d == 0:
         raise DomainError("cannot sample from an empty vertex set")
-    vertex_matrix = np.array(
-        [[float(c) for c in v.cells] for v in V.vertices], dtype=float
-    )
+    d = V.vertices[0].d
+    vertex_matrix = np.array([_float_cells(v) for v in V.vertices], dtype=float)
     rng = _rng(cfg.seed)
+    rows = max(1, _BLOCK_UNIFORMS // n_d)
     draws = []
-    for _ in range(cfg.count):
+    while len(draws) < cfg.count:
         # -log(1 - U) are iid Exp(1); normalizing gives symmetric Dirichlet(1).
-        exponentials = -np.log1p(-rng.random(n_d))
-        total = exponentials.sum()
-        theta = exponentials / total if total > 0 else np.full(n_d, 1.0 / n_d)
-        cells = theta @ vertex_matrix
-        draws.append(Pmf(d=V.vertices[0].d, cells=tuple(float(c) for c in cells), mode=FLOAT))
+        exponentials = -np.log1p(-rng.random((min(rows, cfg.count - len(draws)), n_d)))
+        totals = exponentials.sum(axis=1)[:, None]
+        thetas = np.divide(
+            exponentials, totals, out=np.full_like(exponentials, 1.0 / n_d), where=totals > 0
+        )
+        for theta in thetas:
+            cells = theta @ vertex_matrix
+            draws.append(Pmf(d=d, cells=tuple(cells.tolist()), mode=FLOAT))
+    _log("dirichlet", cfg.count, cfg.count, 0)
     return draws
 
 
@@ -119,45 +167,65 @@ def sample_hit_and_run(H: ConstraintMatrix, start: Pmf, cfg: SamplerConfig) -> L
     ones_row = tuple([Fraction(1)] * H.n_cols)
     basis = frac_nullspace(list(H.rows) + [ones_row], H.n_cols)
     if not basis:
+        _log("hitrun", 0, cfg.count, 0)
         return [p0] * cfg.count
     B = np.array([[float(v) for v in vec] for vec in basis], dtype=float).T
     N, _ = np.linalg.qr(B)
-    k = N.shape[1]
+    n, k = N.shape
 
     x0 = np.array(p0.cells, dtype=float)
     c = np.zeros(k)
     point = x0.copy()
     rng = _rng(cfg.seed)
     draws: List[Pmf] = []
-    kept = 0
     steps_until_keep = cfg.burn_in
+    steps = degenerate = 0
+    # one block row per step: u1 and u2 for Box-Muller, then the chord uniform t
+    skip_t = 2 * ((k + 1) // 2)
+    stride = skip_t + 1
+    rows = max(1, _BLOCK_UNIFORMS // stride)
+    stream = np.empty(0)
+    max_reduce, min_reduce = np.maximum.reduce, np.minimum.reduce
 
-    while kept < cfg.count:
-        direction_k = _standard_normals(rng, k)
-        norm = np.linalg.norm(direction_k)
-        if norm == 0.0:
-            continue
-        direction_k /= norm
-        direction = N @ direction_k
+    while len(draws) < cfg.count:
+        if len(stream) < stride:
+            stream = np.concatenate([stream, rng.random(rows * stride)])
+        block = stream[: len(stream) // stride * stride].reshape(-1, stride)
+        z = _standard_normals(block, k)
+        # a zero norm gives a NaN direction, which bounds no cell: a degenerate chord below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            directions_k = z / np.sqrt([row.dot(row) for row in z])[:, None]
+        directions = np.empty((len(block), n))
+        for row, direction_k in zip(directions, directions_k):
+            np.matmul(N, direction_k, out=row)
+        lower, upper = directions > CHORD_EPS, directions < -CHORD_EPS
+        # the chord ends where point + t * direction reaches 0 in a cell: t = point / -direction
+        negated = -directions
+        used = block.size
+        for i, (scale, lo, hi, direction_k, u) in enumerate(
+            zip(negated, lower, upper, directions_k, block[:, -1].tolist())
+        ):
+            bounds = point / scale
+            t_lo = float(max_reduce(bounds, where=lo, initial=-math.inf))
+            t_hi = float(min_reduce(bounds, where=hi, initial=math.inf))
+            if not (math.isfinite(t_lo) and math.isfinite(t_hi)) or t_hi < t_lo:
+                # degenerate chord: resample the direction; no t was drawn for this step
+                degenerate += 1
+                used = i * stride + skip_t
+                break
 
-        t_lo, t_hi = -np.inf, np.inf
-        for pc, dc in zip(point, direction):
-            if dc > CHORD_EPS:
-                t_lo = max(t_lo, -pc / dc)
-            elif dc < -CHORD_EPS:
-                t_hi = min(t_hi, -pc / dc)
-        if not (np.isfinite(t_lo) and np.isfinite(t_hi)) or t_hi < t_lo:
-            continue  # numerically degenerate chord; resample the direction
+            t = t_lo + u * (t_hi - t_lo)
+            c = c + t * direction_k
+            point = x0 + N @ c
+            steps += 1
 
-        t = t_lo + rng.random() * (t_hi - t_lo)
-        c = c + t * direction_k
-        point = x0 + N @ c
-
-        if steps_until_keep > 0:
-            steps_until_keep -= 1
-            continue
-        kept += 1
-        steps_until_keep = cfg.thinning
-        cells = np.maximum(point, 0.0)
-        draws.append(Pmf(d=p0.d, cells=tuple(float(v) for v in cells), mode=FLOAT))
+            if steps_until_keep > 0:
+                steps_until_keep -= 1
+                continue
+            steps_until_keep = cfg.thinning
+            draws.append(Pmf(d=p0.d, cells=tuple(np.maximum(point, 0.0).tolist()), mode=FLOAT))
+            if len(draws) == cfg.count:
+                break
+        stream = stream[used:]
+    _log("hitrun", steps, len(draws), degenerate)
     return draws

@@ -1,9 +1,10 @@
 """Shared fixtures, random table generators, and independent oracles.
 
-The brute-force vertex oracle here deliberately carries its own Gaussian
-elimination instead of reusing the package's linear algebra, so that the
-enumeration tests check the double description method against genuinely
-independent machinery.
+The brute-force vertex oracle and the kernel bases used to build random
+tables deliberately carry their own Gaussian elimination over Fractions
+instead of reusing the package's linear algebra, so that the enumeration
+tests check the double description method against genuinely independent
+machinery, and the package's integer elimination is checked against them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from itertools import combinations
 import pytest
 
 from bintab import MarginTargets, Pmf, build_H, targets_from_pmf
-from bintab._linalg import frac_nullspace
 from bintab.datasets import builtin_pmf
 
 F = Fraction
@@ -52,6 +52,55 @@ EXAMPLE1_VERTEX_B = tuple(F(v, 1000) for v in (173, 21, 49, 257, 84, 222, 194, 0
 
 
 # ---------------------------------------------------------------------------
+# independent rational elimination
+# ---------------------------------------------------------------------------
+
+
+def reference_rref(rows):
+    """Reduced row echelon form by plain Gauss-Jordan over Fractions.
+
+    Returns ``(rref_rows, pivot_columns)``: all input rows, zero rows last.
+    """
+    m = [list(map(F, row)) for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [v / inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def reference_nullspace(rows, ncols):
+    """Right-kernel basis; each vector sets one free variable to 1 and the others to 0."""
+    if not rows:
+        return [tuple(F(int(i == j)) for i in range(ncols)) for j in range(ncols)]
+    rref, pivots = reference_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [F(0)] * ncols
+        vec[fc] = F(1)
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -rref[row_idx][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+# ---------------------------------------------------------------------------
 # random table generators (non-oracle helpers)
 # ---------------------------------------------------------------------------
 
@@ -80,7 +129,7 @@ def random_uniform_margin_pmf(rng, d) -> Pmf:
         for i in range(1, d + 1)
     ]
     ones = tuple([F(1)] * n)
-    basis = frac_nullspace(margin_rows + [ones], n)
+    basis = reference_nullspace(margin_rows + [ones], n)
     direction = [F(0)] * n
     for vec in basis:
         c = F(rng.randint(-9, 9))

@@ -25,8 +25,8 @@ from bintab import (
     targets_from_pmf,
     top_order_odds_ratio,
 )
-from bintab._linalg import frac_rank, int_rank
-from bintab.geometry import _extreme_rays, _integer_rows
+from bintab._linalg import _integer_rows, frac_rank, int_rank
+from bintab.geometry import _extreme_rays
 from conftest import (
     EXAMPLE1_VERTEX_A,
     EXAMPLE1_VERTEX_B,
@@ -59,7 +59,7 @@ def reference_rays(H):
     n = H.n_cols
     rays = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     processed = []
-    for label, h in zip(H.labels, _integer_rows(H)):
+    for label, h in zip(H.labels, _integer_rows(H.rows)):
         masks = [sum(1 << c for c, v in enumerate(r) if v) for r in rays]
         vals = [sum(a * b for a, b in zip(h, r)) for r in rays]
         new_rays = [r for r, v in zip(rays, vals) if v == 0]
@@ -338,6 +338,21 @@ class TestMixture:
         values = [float(top_order_odds_ratio(mixture(w, example1_vertices))) for w in weights]
         assert min(values) < 1e-2
         assert max(values) > 1e2
+
+    def test_sparse_weights_give_the_full_sum(self, water):
+        V = enumerate_vertices(build_H(targets_from_pmf(water, digits=3)))
+        theta = [F(0)] * len(V)
+        for index, weight in ((3, F(1, 2)), (40, F(1, 3)), (77, F(1, 6))):
+            theta[index] = weight
+        exact = tuple(
+            sum((t * v.cells[k] for t, v in zip(theta, V.vertices)), F(0)) for k in range(16)
+        )
+        assert mixture(MixtureWeights(tuple(theta)), V).cells == exact
+        floats = MixtureWeights(tuple(float(t) for t in theta)).theta
+        rounded = tuple(
+            math.fsum(t * float(v.cells[k]) for t, v in zip(floats, V.vertices)) for k in range(16)
+        )
+        assert mixture(MixtureWeights(floats), V).cells == rounded
 
     def test_weight_validation(self, example1_vertices):
         with pytest.raises(DomainError):

@@ -3,7 +3,11 @@
 import random
 from fractions import Fraction
 
-from bintab._linalg import affine_rank, frac_nullspace, frac_rank, frac_solve, int_rank
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bintab._linalg import affine_rank, frac_nullspace, frac_rank, frac_rref, frac_solve, int_rank
+from conftest import reference_rref
 
 F = Fraction
 
@@ -49,3 +53,44 @@ def test_affine_rank():
     pts = [(F(0), F(0)), (F(1), F(1)), (F(2), F(2))]
     assert affine_rank(pts) == 1
     assert affine_rank([(F(1), F(2))]) == 0
+
+
+# sparse small rationals: most entries 0, so zero rows and zero columns are common
+_entries = st.one_of(
+    st.just(F(0)),
+    st.just(F(0)),
+    st.builds(F, st.integers(-12, 12), st.integers(1, 9)),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Random rational matrices, wide or tall, with dependent rows and an optional rhs column."""
+    n_rows = draw(st.integers(0, 7))
+    n_cols = draw(st.integers(0, 8))
+    m = [draw(st.lists(_entries, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    if n_rows >= 2 and draw(st.booleans()):
+        # rank-deficient: one row a rational combination of two others
+        a, b = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_rows - 1))
+        x, y = draw(_entries), draw(_entries)
+        m[draw(st.integers(0, n_rows - 1))] = [x * u + y * v for u, v in zip(m[a], m[b])]
+    if draw(st.booleans()):
+        # augmented with a right-hand side, as frac_solve builds it
+        m = [row + [draw(_entries)] for row in m]
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_matrices())
+def test_frac_rref_matches_rational_gauss_jordan(m):
+    rows, pivots = frac_rref(m)
+    expected_rows, expected_pivots = reference_rref(m)
+    assert pivots == expected_pivots
+    assert rows == expected_rows
+    assert all(type(v) is Fraction for row in rows for v in row)
+
+
+def test_frac_rref_accepts_int_rows_and_keeps_zero_rows():
+    rows, pivots = frac_rref([[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 0, 5]])
+    assert pivots == [0, 2]
+    assert rows == [[1, 2, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]]

@@ -26,8 +26,7 @@ from bintab import (
     univariate_margin,
     zero_mean_params,
 )
-from bintab._linalg import frac_nullspace
-from conftest import brute_force_vertices
+from conftest import brute_force_vertices, reference_nullspace
 
 F = Fraction
 
@@ -57,7 +56,7 @@ def _margin_kernel(d):
             for i in range(1, d + 1)
         ]
         rows.append(tuple([F(1)] * n))
-        _MARGIN_KERNELS[d] = frac_nullspace(rows, n)
+        _MARGIN_KERNELS[d] = reference_nullspace(rows, n)
     return _MARGIN_KERNELS[d]
 
 

@@ -1,10 +1,16 @@
-"""Samplers: per-draw feasibility, determinism, and distributional agreement."""
+"""Samplers: per-draw feasibility, determinism, distributional agreement, and
+byte identity with the per-step reference implementations."""
 
+import logging
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
+
+import bintab.sampling as sampling
+import bintab.table
 
 from bintab import (
     DomainError,
@@ -20,6 +26,8 @@ from bintab import (
     sample_hit_and_run,
     targets_from_pmf,
 )
+from bintab.table import FLOAT
+from conftest import reference_nullspace
 
 F = Fraction
 
@@ -138,3 +146,188 @@ class TestSamplerConfig:
             SamplerConfig(seed=1, count=1, burn_in=-1)
         with pytest.raises(DomainError):
             SamplerConfig(seed=1, count=1, thinning=-2)
+
+
+# ---------------------------------------------------------------------------
+# per-step references: the samplers as first written, one draw or one walk
+# step at a time; the block samplers must reproduce their draws bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _reference_rng(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def _reference_normals(rng, k):
+    pairs = (k + 1) // 2
+    u1 = rng.random(pairs)
+    u2 = rng.random(pairs)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * math.pi * u2
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    return z[:k]
+
+
+def reference_dirichlet(V, cfg):
+    """Dirichlet(1) vertex mixtures, one ``rng.random(n)`` per draw."""
+    n_d = len(V.vertices)
+    vertex_matrix = np.array([[float(c) for c in v.cells] for v in V.vertices], dtype=float)
+    rng = _reference_rng(cfg.seed)
+    draws = []
+    for _ in range(cfg.count):
+        exponentials = -np.log1p(-rng.random(n_d))
+        total = exponentials.sum()
+        theta = exponentials / total if total > 0 else np.full(n_d, 1.0 / n_d)
+        cells = theta @ vertex_matrix
+        draws.append(Pmf(d=V.vertices[0].d, cells=tuple(float(c) for c in cells), mode=FLOAT))
+    return draws
+
+
+def reference_hit_and_run(H, start, cfg):
+    """Hit-and-run, one direction, chord and point per step.
+
+    Reads ``sampling.CHORD_EPS`` at call time, so a patched threshold
+    applies to both implementations.
+    """
+    p0 = start.to_float() if start.mode != FLOAT else start
+    basis = reference_nullspace(list(H.rows) + [tuple([F(1)] * H.n_cols)], H.n_cols)
+    if not basis:
+        return [p0] * cfg.count
+    B = np.array([[float(v) for v in vec] for vec in basis], dtype=float).T
+    N, _ = np.linalg.qr(B)
+    k = N.shape[1]
+    x0 = np.array(p0.cells, dtype=float)
+    c = np.zeros(k)
+    point = x0.copy()
+    rng = _reference_rng(cfg.seed)
+    draws = []
+    kept = 0
+    steps_until_keep = cfg.burn_in
+    while kept < cfg.count:
+        direction_k = _reference_normals(rng, k)
+        norm = np.linalg.norm(direction_k)
+        if norm == 0.0:
+            continue
+        direction_k /= norm
+        direction = N @ direction_k
+        t_lo, t_hi = -np.inf, np.inf
+        for pc, dc in zip(point, direction):
+            if dc > sampling.CHORD_EPS:
+                t_lo = max(t_lo, -pc / dc)
+            elif dc < -sampling.CHORD_EPS:
+                t_hi = min(t_hi, -pc / dc)
+        if not (np.isfinite(t_lo) and np.isfinite(t_hi)) or t_hi < t_lo:
+            continue
+        t = t_lo + rng.random() * (t_hi - t_lo)
+        c = c + t * direction_k
+        point = x0 + N @ c
+        if steps_until_keep > 0:
+            steps_until_keep -= 1
+            continue
+        kept += 1
+        steps_until_keep = cfg.thinning
+        cells = np.maximum(point, 0.0)
+        draws.append(Pmf(d=p0.d, cells=tuple(float(v) for v in cells), mode=FLOAT))
+    return draws
+
+
+def _system(request, name):
+    """(H, V, centroid start) of a named system."""
+    if name == "degenerate_d3":
+        # mu12 = 1/2 forces X1 = X2: a single vertex on the boundary of a
+        # larger affine hull, so every chord is (numerically) a point
+        targets = MarginTargets.uniform(3, {(1, 2): F(1, 2), (1, 3): F(1, 4), (2, 3): F(1, 4)})
+    elif name == "zero_dim_d2":
+        targets = MarginTargets.uniform(2, {(1, 2): F(1, 4)})
+    else:
+        targets = targets_from_pmf(request.getfixturevalue(name), digits=3)
+    H = build_H(targets)
+    V = enumerate_vertices(H)
+    start = mixture(MixtureWeights(tuple(F(1, len(V)) for _ in V.vertices)), V)
+    return H, V, start
+
+
+SYSTEMS = ["water", "example1", "degenerate_d3", "zero_dim_d2"]
+
+
+def _stride(H):
+    """Uniforms per walk step: Box-Muller pairs for the chart, then t."""
+    k = len(reference_nullspace(list(H.rows) + [tuple([F(1)] * H.n_cols)], H.n_cols))
+    return 2 * ((k + 1) // 2) + 1
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("name", SYSTEMS)
+    @pytest.mark.parametrize(
+        "schedule",
+        [dict(burn_in=500, thinning=10, count=20), dict(burn_in=0, thinning=0, count=25), dict(burn_in=3, thinning=0, count=1)],
+        ids=["default", "no_burn_no_thin", "single"],
+    )
+    def test_hit_and_run_matches_per_step_reference(self, request, name, schedule):
+        H, _, start = _system(request, name)
+        cfg = SamplerConfig(seed=31, **schedule)
+        assert [p.cells for p in sample_hit_and_run(H, start, cfg)] == [
+            p.cells for p in reference_hit_and_run(H, start, cfg)
+        ]
+
+    @pytest.mark.parametrize("name", ["water", "example1"])
+    def test_hit_and_run_spans_several_blocks(self, request, name):
+        H, _, start = _system(request, name)
+        # every step is kept, and the steps use more than three blocks of uniforms
+        count = 3 * sampling._BLOCK_UNIFORMS // _stride(H) + 7
+        cfg = SamplerConfig(seed=8, count=count, burn_in=0, thinning=0)
+        assert [p.cells for p in sample_hit_and_run(H, start, cfg)] == [
+            p.cells for p in reference_hit_and_run(H, start, cfg)
+        ]
+
+    def test_degenerate_chords_realign_the_stream(self, request, monkeypatch, caplog):
+        H, _, start = _system(request, "water")
+        # about a quarter of the directions have no component past 0.4 on one
+        # side, so those steps resample the direction without drawing t.  The
+        # cells past the threshold no longer bound the chord, so the walk
+        # leaves the polytope; the mass check is lifted because this test is
+        # about which uniforms each step consumes, not about feasibility
+        monkeypatch.setattr(sampling, "CHORD_EPS", 0.4)
+        monkeypatch.setattr(bintab.table, "FLOAT_SUM_TOL", math.inf)
+        cfg = SamplerConfig(seed=12, count=300, burn_in=20, thinning=1)
+        with caplog.at_level(logging.DEBUG, logger="bintab.sampling"):
+            draws = sample_hit_and_run(H, start, cfg)
+        assert [p.cells for p in draws] == [p.cells for p in reference_hit_and_run(H, start, cfg)]
+        (record,) = [r for r in caplog.records if r.name == "bintab.sampling"]
+        assert record.args["degenerate_chords"] > 10
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_dirichlet_matches_per_draw_reference(self, request, name):
+        _, V, _ = _system(request, name)
+        cfg = SamplerConfig(seed=44, count=30)
+        assert [p.cells for p in sample_dirichlet(V, cfg)] == [p.cells for p in reference_dirichlet(V, cfg)]
+
+    @pytest.mark.parametrize("name", ["water", "example1"])
+    def test_dirichlet_spans_several_blocks(self, request, name):
+        _, V, _ = _system(request, name)
+        cfg = SamplerConfig(seed=45, count=3 * sampling._BLOCK_UNIFORMS // len(V) + 5)
+        assert [p.cells for p in sample_dirichlet(V, cfg)] == [p.cells for p in reference_dirichlet(V, cfg)]
+
+
+class TestSamplerLogging:
+    def _record(self, caplog, run):
+        with caplog.at_level(logging.DEBUG, logger="bintab.sampling"):
+            run()
+        (record,) = [r for r in caplog.records if r.name == "bintab.sampling"]
+        return record.args
+
+    def test_hit_and_run_record(self, request, caplog):
+        H, _, start = _system(request, "water")
+        cfg = SamplerConfig(seed=19, count=5, burn_in=10, thinning=2)
+        args = self._record(caplog, lambda: sample_hit_and_run(H, start, cfg))
+        assert args == {"method": "hitrun", "steps": 10 + 5 + 4 * 2, "kept": 5, "degenerate_chords": 0}
+
+    def test_zero_dimensional_record(self, request, caplog):
+        H, _, start = _system(request, "zero_dim_d2")
+        args = self._record(caplog, lambda: sample_hit_and_run(H, start, SamplerConfig(seed=1, count=3)))
+        assert args == {"method": "hitrun", "steps": 0, "kept": 3, "degenerate_chords": 0}
+
+    def test_dirichlet_record(self, request, caplog):
+        _, V, _ = _system(request, "example1")
+        args = self._record(caplog, lambda: sample_dirichlet(V, SamplerConfig(seed=2, count=6)))
+        assert args == {"method": "dirichlet", "steps": 6, "kept": 6, "degenerate_chords": 0}
