@@ -84,7 +84,7 @@ from .errors import (
     EmptyFeasibleSetError,
     NotInPolytopeError,
 )
-from .table import FLOAT, RATIONAL, Pmf
+from .table import FLOAT, RATIONAL, Pmf, float_cells
 
 #: Largest vertex count for which decompose searches support subsets exactly.
 EXACT_DECOMPOSE_LIMIT = 16
@@ -386,9 +386,9 @@ def decompose(p: Pmf, V: VertexSet, tol: float = 1e-9) -> MixtureWeights:
     from scipy.optimize import nnls  # imported here: it dominates the import time of bintab
 
     # Nonnegative least squares on the cell system augmented with sum(theta)=1.
-    A = np.array([[float(c) for c in v.cells] for v in V.vertices], dtype=float).T
+    A = np.array([float_cells(v) for v in V.vertices], dtype=float).T
     A_aug = np.vstack([A, np.ones((1, n_d))])
-    b_aug = np.concatenate([np.array([float(c) for c in p.cells]), [1.0]])
+    b_aug = np.concatenate([np.array(float_cells(p)), [1.0]])
     theta, _ = nnls(A_aug, b_aug)
     s = theta.sum()
     if s <= 0:

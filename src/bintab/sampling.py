@@ -60,7 +60,7 @@ from ._linalg import frac_nullspace
 from .constraints import ConstraintMatrix, residual
 from .errors import DomainError
 from .geometry import VertexSet
-from .table import FLOAT, Pmf
+from .table import FLOAT, Pmf, float_cells
 
 #: Tolerance for validating the feasibility of a hit-and-run start point.
 START_TOL = 1e-9
@@ -106,13 +106,6 @@ def _log(method: str, steps: int, kept: int, degenerate_chords: int) -> None:
     )
 
 
-def _float_cells(p: Pmf) -> list:
-    """The cells as floats; for a Fraction ``numerator / denominator`` is ``float()``, minus the call overhead."""
-    if p.mode == FLOAT:
-        return list(p.cells)
-    return [c.numerator / c.denominator for c in p.cells]
-
-
 def _standard_normals(U: np.ndarray, k: int) -> np.ndarray:
     """Box-Muller on each row ``[u1 (pairs), u2 (pairs), ...]`` of ``U``: k normals per row."""
     pairs = (k + 1) // 2
@@ -131,7 +124,7 @@ def sample_dirichlet(V: VertexSet, cfg: SamplerConfig) -> List[Pmf]:
     if n_d == 0:
         raise DomainError("cannot sample from an empty vertex set")
     d = V.vertices[0].d
-    vertex_matrix = np.array([_float_cells(v) for v in V.vertices], dtype=float)
+    vertex_matrix = np.array([float_cells(v) for v in V.vertices], dtype=float)
     rng = _rng(cfg.seed)
     rows = max(1, _BLOCK_UNIFORMS // n_d)
     draws = []

@@ -163,7 +163,7 @@ class Pmf:
     def to_float(self) -> "Pmf":
         if self.mode == FLOAT:
             return self
-        return Pmf(d=self.d, cells=tuple(float(c) for c in self.cells), mode=FLOAT, total=self.total)
+        return Pmf(d=self.d, cells=tuple(float_cells(self)), mode=FLOAT, total=self.total)
 
     def to_rational(self) -> "Pmf":
         """Exact rationalization of a float pmf (binary-float values are rational)."""
@@ -212,6 +212,13 @@ class BivariateMargin:
 
     def odds_ratio(self):
         return _classified_ratio(self.m11 * self.m00, self.m10 * self.m01)
+
+
+def float_cells(p: Pmf) -> list:
+    """The cells as floats; for a Fraction ``numerator / denominator`` is ``float()``, minus the call overhead."""
+    if p.mode == FLOAT:
+        return list(p.cells)
+    return [c.numerator / c.denominator for c in p.cells]
 
 
 def univariate_margin(p: Pmf, i: int):

@@ -343,6 +343,14 @@ class TestCliPipelines:
         assert payload["parametrization"] == "zero-mean"
         assert "∅" in payload["coefficients"]
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_loglinear_rejects_non_finite_or_negative_eps(self, runner, eps):
+        result = runner.invoke(
+            main, ["loglinear", "builtin:raters", "--eps", eps, "--json"]
+        )
+        assert result.exit_code == 4
+        assert "error: eps must be finite and >= 0" in result.output
+
     def test_ipf_json(self, runner):
         result = runner.invoke(main, ["ipf", "builtin:example1", "--digits", "3", "--json"])
         assert result.exit_code == 0

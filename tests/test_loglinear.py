@@ -1,12 +1,17 @@
-"""Log-linear decompositions against the published coefficient tables."""
+"""Log-linear decompositions against the published coefficient tables, and
+bit identity with the per-subset reference implementations."""
 
 import math
+import random
+import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from bintab import (
     DomainError,
+    LogLinearParams,
     Pmf,
     build_H,
     corner_params,
@@ -156,3 +161,155 @@ class TestReconstruct:
     def test_uniform_fixed_point(self):
         rebuilt = reconstruct(zero_mean_params(Pmf.uniform(3), eps=0.0))
         assert rebuilt.cells == pytest.approx((0.125,) * 8, abs=1e-15)
+
+
+class TestDomain:
+    @pytest.mark.parametrize("view", [zero_mean_params, corner_params])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_eps_rejected(self, example1, view, eps):
+        with pytest.raises(DomainError, match="eps must be finite"):
+            view(example1, eps=eps)
+
+    @pytest.mark.parametrize("axes", [(1, 1), (0,), (4,), (1, 2, 2)])
+    def test_coefficient_rejects_repeated_or_out_of_range_axes(self, example1, axes):
+        params = zero_mean_params(example1, eps=0.0)
+        with pytest.raises(DomainError, match=re.escape(str(axes))):
+            params.coefficient(*axes)
+
+    def test_coefficient_sorts_axes(self, example1):
+        params = corner_params(example1, eps=0.0)
+        assert params.coefficient(3, 1) == params.coefficients[(1, 3)]
+        assert params.coefficient() == params.coefficients[()]
+
+    def test_coefficients_keyed_by_the_axis_subsets(self):
+        keys = [(), (1,), (2,), (2, 1)]
+        with pytest.raises(DomainError, match="sorted axis subsets"):
+            LogLinearParams(d=2, parametrization="corner", eps=0.0, coefficients=dict.fromkeys(keys, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# per-subset references: the log-linear views as first written, one
+# character or Moebius term at a time; the table-driven views must
+# reproduce their coefficients, key order and reconstructed cells bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _reference_logs(p, eps):
+    return [math.log(float(c) + eps) for c in p.cells]
+
+
+def _reference_subsets(d):
+    out = [()]
+    for size in range(1, d + 1):
+        out.extend(tuple(c) for c in combinations(range(1, d + 1), size))
+    return out
+
+
+def _reference_character(subset, offset, d):
+    sign = 1
+    for i in subset:
+        if not (offset >> (d - i)) & 1:
+            sign = -sign
+    return sign
+
+
+def reference_zero_mean(p, eps):
+    logs = _reference_logs(p, eps)
+    n = 2**p.d
+    return {
+        subset: math.fsum(_reference_character(subset, k, p.d) * logs[k] for k in range(n)) / n
+        for subset in _reference_subsets(p.d)
+    }
+
+
+def reference_corner(p, eps):
+    logs = _reference_logs(p, eps)
+    d = p.d
+
+    def log_at_ones(axes):
+        offset = 0
+        for i in axes:
+            offset |= 1 << (d - i)
+        return logs[offset]
+
+    coeffs = {}
+    for subset in _reference_subsets(d):
+        total = 0.0
+        for size in range(len(subset) + 1):
+            for t in combinations(subset, size):
+                total += (-1) ** (len(subset) - size) * log_at_ones(t)
+        coeffs[subset] = total
+    return coeffs
+
+
+def reference_reconstruct(d, zero_mean, coefficients):
+    n = 2**d
+    logs = []
+    for k in range(n):
+        if zero_mean:
+            logs.append(
+                math.fsum(c * _reference_character(s, k, d) for s, c in coefficients.items())
+            )
+        else:
+            ones = {i for i in range(1, d + 1) if (k >> (d - i)) & 1}
+            logs.append(math.fsum(c for s, c in coefficients.items() if set(s) <= ones))
+    cells = [math.exp(v) for v in logs]
+    total = math.fsum(cells)
+    return tuple(c / total for c in cells)
+
+
+def _bits(values):
+    """Float bit patterns: ``==`` that also tells -0.0 from 0.0."""
+    return [v.hex() for v in values]
+
+
+def _assert_matches_reference(p, eps):
+    for view, reference, zero_mean in (
+        (zero_mean_params, reference_zero_mean, True),
+        (corner_params, reference_corner, False),
+    ):
+        params = view(p, eps=eps)
+        expected = reference(p, eps)
+        assert list(params.coefficients) == list(expected)
+        assert _bits(params.coefficients.values()) == _bits(expected.values())
+        rebuilt = reconstruct(params).cells
+        assert _bits(rebuilt) == _bits(reference_reconstruct(p.d, zero_mean, expected))
+
+
+def _random_table(rng, d, mode, positive):
+    """Weights over ten orders of magnitude, with empty cells unless ``positive``."""
+    weights = [rng.randint(1, 10 ** rng.randint(0, 10)) for _ in range(2**d)]
+    if not positive:
+        for k in rng.sample(range(2**d), rng.randint(1, 2**d // 2)):
+            weights[k] = 0
+    total = sum(weights)
+    if mode == "float":
+        return Pmf.from_cells([w / total for w in weights], mode="float")
+    return Pmf.from_cells([F(w, total) for w in weights])
+
+
+class TestReferenceBitIdentity:
+    @pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-3])
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_random_tables(self, d, mode, eps):
+        rng = random.Random(f"{d}-{mode}-{eps}")
+        for _ in range(4):
+            _assert_matches_reference(_random_table(rng, d, mode, positive=eps == 0.0), eps)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_uniform_tables(self, d):
+        # every coefficient but the intercept cancels to an exact zero
+        _assert_matches_reference(Pmf.uniform(d), 0.0)
+        _assert_matches_reference(Pmf.uniform(d, mode="float"), 0.0)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-3])
+    def test_water_vertices(self, water, eps):
+        V = enumerate_vertices(build_H(targets_from_pmf(water, digits=3)))
+        assert len(V.vertices) == 96
+        for vertex in V.vertices:
+            _assert_matches_reference(vertex, eps)
+
+    def test_published_extremes(self, example1_extremes, rater_extremes):
+        for vertex in example1_extremes + rater_extremes:
+            _assert_matches_reference(vertex, 1e-8)
