@@ -20,10 +20,16 @@ a 2-face iff ``rank(A restricted to the S columns) == |S| - 2``.  On a
 combinatorial test is equivalent to it: r1 and r2 are adjacent iff no
 third ray has its support inside S (Fukuda & Prodon, "Double description
 method revisited", 1996).  The cone is pointed, and every step keeps the
-rays on the hyperplane and adds one primitive, deduplicated ray per
-adjacent split pair, so the ray set stays exactly the extreme rays from
-the unit vectors onward, and the combinatorial test decides adjacency
-exactly.
+rays on the hyperplane and adds one primitive ray per adjacent split pair,
+so the ray set stays exactly the extreme rays from the unit vectors onward,
+and the combinatorial test decides adjacency exactly.
+
+No ray needs to be deduplicated.  A new ray is a positive combination of
+its pair, so it lies in the relative interior of the 2-face the pair spans,
+and that 2-face is the smallest face of the old cone containing it.
+Different adjacent pairs span different 2-faces, and an old ray spans only
+a 1-face, so each new ray comes from exactly one pair and equals no ray
+already on the hyperplane.
 
 Each row is one pass of whole-array numpy operations over the (rays x 2^d)
 integer matrix R of the current rays:
@@ -37,8 +43,8 @@ integer matrix R of the current rays:
 * the subset count over all pairs within the bound, in chunks of about
   1 MB: a pair is adjacent when exactly 2 masks lie inside its union;
 * one expression ``(h.r_a) r_b - (h.r_b) r_a`` builds every new ray, and
-  the gcd of each row makes it primitive.  New rays are kept in pos-major,
-  neg-minor pair order, first occurrence only.
+  the gcd of each row makes it primitive.  New rays follow the rays on the
+  hyperplane in pos-major, neg-minor pair order.
 
 R is int64 only while a bound computed from the data proves that no
 intermediate overflows: ``n * max|h| * max|R| < 2^62`` before the values,
@@ -50,19 +56,25 @@ Each inserted row emits one debug record on the ``bintab.geometry`` logger
 with its counts: rays in and out, candidate pairs, and pairs left after
 each filter.
 
-The affine dimension is read off the enumerated rays: with S the union of
-their supports, every feasible table is zero off S and the centroid of the
-vertices is positive on S, so the affine hull is ``{x : x = 0 off S,
-H x = 0, sum(x) = 1}`` of dimension ``|S| - 1 - rank(H restricted to the S
-columns)``.  This is exact on degenerate polytopes whose points all vanish
-on some cells.
+The affine dimension is read off the ray matrix: with S its columns that
+are nonzero in some ray, every feasible table is zero off S and the
+centroid of the vertices is positive on S, so the affine hull is
+``{x : x = 0 off S, H x = 0, sum(x) = 1}`` of dimension
+``|S| - 1 - rank(H restricted to the S columns)``.  This is exact on
+degenerate polytopes whose points all vanish on some cells.
 
 :func:`enumerate_vertices` is the one entry point: it divides each ray by
-its coordinate sum into a vertex pmf.  Everything is deterministic:
-candidate pairs are scanned in a fixed order and the vertices are sorted by
-descending lexicographic order of their cells, which also pairs reflected
-vertices stably.  The sort key is exact and integer: ``ray * (L // sum(ray))``
-with L the lcm of the ray sums, which is the cell vector scaled by L.
+its coordinate sum into a vertex pmf, in one pass over the ray matrix.  One
+whole-matrix check, every entry >= 0 and every row sum > 0, proves that
+every row over its sum is a valid rational pmf, so the vertices skip the
+per-pmf validation.  Everything is deterministic: candidate pairs are
+scanned in a fixed order and the vertices are sorted by descending
+lexicographic order of their cells, which also pairs reflected vertices
+stably.  The sort key is exact and integer: ``ray * (L // sum(ray))`` with L
+the lcm of the ray sums, which is the cell vector scaled by L.  Its entries
+are at most L, so they are int64 when L is below the bound and Python ints
+otherwise.  Each distinct key entry k becomes one ``Fraction(k, L)``, which
+every vertex cell with that value shares.
 """
 
 from __future__ import annotations
@@ -97,9 +109,6 @@ _INT64_BOUND = 1 << 62
 
 logger = logging.getLogger(__name__)
 
-IntRay = Tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class VertexSet:
     """Extreme pmfs of the feasible polytope, in canonical order.
@@ -118,7 +127,8 @@ class VertexSet:
     @property
     def dimension(self) -> int:
         """Exact affine dimension of the polytope (-1 when it is empty)."""
-        return _support_dimension(self.constraints, (v.cells for v in self.vertices))
+        support = {c for v in self.vertices for c, x in enumerate(v.cells) if x}
+        return _support_dimension(self.constraints, sorted(support))
 
 
 @dataclass(frozen=True)
@@ -142,6 +152,9 @@ class MixtureWeights:
         else:
             theta = tuple(float(t) for t in theta)
             total = math.fsum(theta)
+            # a NaN weight makes the sum NaN, which the tolerance test below would let through
+            if not math.isfinite(total):
+                raise DomainError(f"mixture weights must be finite, got {theta}")
             if abs(total - 1.0) > 1e-9:
                 raise DomainError(f"mixture weights sum to {total!r}, expected 1")
             theta = tuple(t / total for t in theta)
@@ -226,21 +239,15 @@ def _insert_equality(
     # vals[a] > 0 > vals[b]: a positive combination of r_a and r_b on the hyperplane
     new = vals[a, None] * R[b] - vals[b, None] * R[a]
     new //= np.gcd.reduce(new, axis=1)[:, None]
-    seen = set(map(tuple, R[zero].tolist()))
-    first = []
-    for k, ray in enumerate(map(tuple, new.tolist())):
-        if ray not in seen:
-            seen.add(ray)
-            first.append(k)
-    new = new[first]
     return np.concatenate([R[zero], new]), np.concatenate([masks[zero], _mask_words(new)]), counts
 
 
-def _extreme_rays(H: ConstraintMatrix) -> Tuple[List[IntRay], Optional[tuple]]:
+def _extreme_rays(H: ConstraintMatrix) -> Tuple[np.ndarray, Optional[tuple]]:
     """Extreme rays of ``{y >= 0 : H y = 0}``, unsorted, and the label of the row that emptied it.
 
-    The rays are primitive integer vectors; the label is None unless the
-    cone is {0}.
+    The rays are the rows of one integer matrix (int64, or Python ints past
+    the overflow bound), each primitive; the label is None unless the cone
+    is {0}, when the matrix has no rows.
     """
     R = np.eye(H.n_cols, dtype=np.int64)
     masks = _mask_words(R)
@@ -253,37 +260,42 @@ def _extreme_rays(H: ConstraintMatrix) -> Tuple[List[IntRay], Optional[tuple]]:
             counts,
         )
         if not len(R):
-            return [], label
-    return list(map(tuple, R.tolist())), None
+            return R, label
+    return R, None
 
 
 def enumerate_vertices(H: ConstraintMatrix) -> VertexSet:
     """Extreme pmfs of the feasible polytope: each extreme ray divided by its coordinate sum."""
-    rays, certificate = _extreme_rays(H)
-    sums = [sum(ray) for ray in rays]
-    if any(s <= 0 for s in sums):
-        raise AssertionError("extreme ray with nonpositive sum; enumeration invariant broken")
-    # ray * (L // s) is the vertex ray / s scaled by L: integer keys in the order of the cells
+    if H.d < 2:
+        # the vertices skip Pmf validation, which would reject this
+        raise DomainError(f"dimension must be >= 2, got {H.d}")
+    R, certificate = _extreme_rays(H)
+    (R,) = _exact(H.n_cols * _max_abs(R), R)
+    sums = R.sum(axis=1)
+    # every entry >= 0 and every sum > 0: each row over its sum is a valid rational pmf
+    if not ((R >= 0).all() and (sums > 0).all()):
+        raise AssertionError("extreme ray with a negative entry or nonpositive sum; enumeration invariant broken")
+    sums = sums.tolist()
+    # ray * (L // s) is the vertex ray / s scaled by L: exact integer keys in the order of the cells,
+    # each at most L because 0 <= entry <= s
     L = math.lcm(*sums)
-    scale = [L // s for s in sums]
-    order = sorted(range(len(rays)), key=lambda k: tuple(v * scale[k] for v in rays[k]), reverse=True)
-    vertices = []
-    for k in order:
-        # one Fraction per distinct entry: most cells of a vertex are 0
-        cell = {v: Fraction(v, sums[k]) for v in set(rays[k])}
-        vertices.append(Pmf(d=H.d, cells=tuple(map(cell.__getitem__, rays[k])), mode=RATIONAL))
-    return VertexSet(vertices=tuple(vertices), constraints=H, empty_certificate=certificate)
+    R, scale = _exact(L, R, np.array([L // s for s in sums], dtype=object))
+    keys = sorted((R * scale[:, None]).tolist(), reverse=True)
+    del R  # the keys carry everything the vertices need; free the rays before building them
+    # one Fraction per distinct cell value: most cells of a vertex are 0
+    fraction = {k: Fraction(k, L) for k in set().union(*keys)}
+    vertices = tuple(Pmf._valid_rational(H.d, tuple(map(fraction.__getitem__, key))) for key in keys)
+    return VertexSet(vertices=vertices, constraints=H, empty_certificate=certificate)
 
 
 def _require_nonempty(found: Sequence, certificate, message: str = "the feasible polytope is empty"):
     """Raise :class:`EmptyFeasibleSetError` with ``certificate`` when nothing was found."""
-    if not found:
+    if not len(found):
         raise EmptyFeasibleSetError(message, certificate=certificate)
 
 
-def _support_dimension(H: ConstraintMatrix, points) -> int:
-    """``|S| - 1 - rank(H on the S columns)`` for S the union of the points' supports."""
-    cols = sorted({c for p in points for c, v in enumerate(p) if v})
+def _support_dimension(H: ConstraintMatrix, cols: Sequence[int]) -> int:
+    """``|S| - 1 - rank(H on the S columns)`` for S the sorted column indices ``cols``."""
     return len(cols) - 1 - int_rank([[row[c] for c in cols] for row in _integer_rows(H.rows)])
 
 
@@ -299,9 +311,9 @@ def polytope_dimension(H: ConstraintMatrix) -> int:
     EmptyFeasibleSetError
         If the polytope is empty.
     """
-    rays, certificate = _extreme_rays(H)
-    _require_nonempty(rays, certificate)
-    return _support_dimension(H, rays)
+    R, certificate = _extreme_rays(H)
+    _require_nonempty(R, certificate)
+    return _support_dimension(H, np.flatnonzero((R != 0).any(axis=0)).tolist())
 
 
 # ---------------------------------------------------------------------------

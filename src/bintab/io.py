@@ -44,13 +44,14 @@ def parse_rational(text: Union[str, int, float]) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
-        return Fraction(Decimal(str(text)))
+        text = str(text)
     text = text.strip()
     try:
         if "/" in text:
             return Fraction(text)
         return Fraction(Decimal(text))
-    except (InvalidOperation, ValueError, ZeroDivisionError) as exc:
+    # Decimal parses "nan" and "inf", which Fraction refuses with ValueError and OverflowError
+    except (InvalidOperation, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise TableParseError(f"cannot parse {text!r} as a rational number") from exc
 
 

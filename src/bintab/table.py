@@ -119,8 +119,12 @@ class Pmf:
             cells = tuple(float(c) for c in self.cells)
             if any(c < 0 for c in cells):
                 raise DomainError("negative cell probability")
-            if abs(math.fsum(cells) - 1.0) > FLOAT_SUM_TOL:
-                raise DomainError(f"cells sum to {math.fsum(cells)!r}, expected 1 within {FLOAT_SUM_TOL}")
+            total = math.fsum(cells)
+            # a NaN cell makes the sum NaN, which the tolerance test below would let through
+            if not math.isfinite(total):
+                raise DomainError(f"non-finite cell probability in {cells}")
+            if abs(total - 1.0) > FLOAT_SUM_TOL:
+                raise DomainError(f"cells sum to {total!r}, expected 1 within {FLOAT_SUM_TOL}")
         else:
             raise DomainError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "cells", cells)
@@ -141,6 +145,22 @@ class Pmf:
         if mode is None:
             mode = FLOAT if any(isinstance(c, float) for c in cells) else RATIONAL
         return cls(d=d, cells=tuple(cells), mode=mode, total=total)
+
+    @classmethod
+    def _valid_rational(cls, d: int, cells: tuple) -> "Pmf":
+        """A rational pmf built without ``__post_init__``; for cells already proved valid.
+
+        The caller guarantees what the validation would check: ``d >= 2``,
+        ``2^d`` cells, each a nonnegative ``Fraction``, summing to exactly 1.
+        :func:`bintab.geometry.enumerate_vertices` proves it for the whole
+        ray matrix at once: it checks ``d >= 2``, the matrix has ``2^d``
+        columns, every entry is >= 0 and every row sum s is > 0, so row / s
+        is nonnegative and sums to s / s = 1.  Every pmf built from outside
+        input goes through the validating constructor.
+        """
+        p = object.__new__(cls)
+        p.__dict__.update(d=d, cells=cells, mode=RATIONAL, total=None)
+        return p
 
     @classmethod
     def from_counts(cls, counts: Sequence[int]) -> "Pmf":

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bintab import (
@@ -25,6 +26,7 @@ from bintab import (
     targets_from_pmf,
     top_order_odds_ratio,
 )
+from bintab import geometry
 from bintab._linalg import _integer_rows, frac_rank, int_rank
 from bintab.geometry import _extreme_rays
 from conftest import (
@@ -49,10 +51,13 @@ def primitive(vec):
 def reference_rays(H):
     """Double description with the pairwise Python scan of integer support masks.
 
-    Same scan order and dedup as ``enumerate_vertices``, with the adjacency
-    filter written as a plain loop: the reference for the vectorized filter.
+    Same scan order as ``enumerate_vertices``, with the adjacency filter
+    written as a plain loop: the reference for the vectorized filter.
     Every pair the combinatorial test accepts must also pass the algebraic
     rank test, which the package no longer runs; that is asserted here.
+    So is the absence of duplicates, which lets the package skip a dedupe:
+    a new ray lies inside the 2-face of exactly one split pair, so no other
+    pair and no ray already on the hyperplane can produce it.
     Returns the rays in vertex order and the label of the row that emptied
     the cone (None when it did not).
     """
@@ -74,14 +79,20 @@ def reference_rays(H):
                     f"row {label}: a combinatorially adjacent pair fails the rank test"
                 )
                 ray = primitive([vals[ip] * b - vals[im] * a for a, b in zip(rays[ip], rays[im])])
-                if ray not in seen:
-                    seen.add(ray)
-                    new_rays.append(ray)
+                assert ray not in seen, f"row {label}: an adjacent pair repeats a ray"
+                seen.add(ray)
+                new_rays.append(ray)
         rays = new_rays
         processed.append(h)
         if not rays:
             return (), label
     return tuple(sorted(rays, key=lambda r: [F(v, sum(r)) for v in r], reverse=True)), None
+
+
+def d5_margin_H():
+    """The five uniform margin rows of d=5; the moment targets do not enter them."""
+    full = build_H(MarginTargets.uniform(5, {(i, j): F(1, 4) for i in range(1, 6) for j in range(i + 1, 6)}))
+    return ConstraintMatrix(d=5, rows=full.rows[:5], labels=full.labels[:5], targets=full.targets)
 
 
 @pytest.fixture(scope="module")
@@ -134,10 +145,11 @@ class TestExtremeRays:
         # seeded random systems and the empty system of test_empty_cone_is_a_value_with_certificate
         weights = [14, 17, 6, 5, 16, 4, 17, 2, 18, 10, 7, 15, 6, 3, 8, 4]
         degenerate = Pmf.from_cells([F(w, sum(weights)) for w in weights])
-        # water at digits 9 and 15 has ray entries up to 5.9e8 and 5.9e14, past the int64 bound
+        # water at digits 9 and 15 has ray entries up to 5.9e8 and 5.9e14, past the int64 bound;
+        # at digits 20 the lcm of its ray sums, which bounds the sort keys, is past it too
         systems = [
             build_H(targets_from_pmf(p, digits=g))
-            for p, g in ((water, 3), (water, 9), (water, 15), (degenerate, 2))
+            for p, g in ((water, 3), (water, 9), (water, 15), (water, 20), (degenerate, 2))
         ]
         rng = random.Random(2718)
         # the d=4 observed-margin reference takes ~2 s, so it runs once
@@ -157,6 +169,13 @@ class TestExtremeRays:
             assert [v.cells for v in V.vertices] == [tuple(F(v, sum(r)) for v in r) for r in rays]
             assert V.empty_certificate == certificate
 
+    def test_hand_built_d1_system_rejected(self, example1_H3):
+        H1 = ConstraintMatrix(
+            d=1, rows=((F(1), F(-1)),), labels=example1_H3.labels[:1], targets=example1_H3.targets
+        )
+        with pytest.raises(DomainError, match="dimension must be >= 2"):
+            enumerate_vertices(H1)
+
     def test_masks_wider_than_one_word(self, example1_H3):
         # d=7 has 128 cells, two mask words; the d=3 system sits on cells
         # 60..67, across the word boundary, and every other cell is free
@@ -168,19 +187,17 @@ class TestExtremeRays:
         H7 = ConstraintMatrix(d=7, rows=rows, labels=example1_H3.labels, targets=example1_H3.targets)
         embedded = {
             tuple(ray[c - offset] if offset <= c < offset + 8 else 0 for c in range(128))
-            for ray in _extreme_rays(example1_H3)[0]
+            for ray in _extreme_rays(example1_H3)[0].tolist()
         }
         units = {
             tuple(int(c == j) for c in range(128)) for j in range(128) if not offset <= j < offset + 8
         }
         rays, _ = _extreme_rays(H7)
         assert len(rays) == len(embedded) + 120
-        assert set(rays) == embedded | units
+        assert set(map(tuple, rays.tolist())) == embedded | units
 
     def test_d5_margin_polytope(self):
-        # the five uniform margin rows of d=5; the moment targets do not enter them
-        full = build_H(MarginTargets.uniform(5, {(i, j): F(1, 4) for i in range(1, 6) for j in range(i + 1, 6)}))
-        H = ConstraintMatrix(d=5, rows=full.rows[:5], labels=full.labels[:5], targets=full.targets)
+        H = d5_margin_H()
         V = enumerate_vertices(H)
         assert len(V) == 2712
         cells = {v.cells for v in V.vertices}
@@ -216,6 +233,41 @@ class TestExtremeRays:
                 targets=example1_H3.targets,
             )
             assert {v.cells for v in enumerate_vertices(permuted).vertices} == base
+
+
+class TestIntegerPaths:
+    @pytest.mark.parametrize(
+        "system, count",
+        [
+            pytest.param("water", 96, id="water"),
+            pytest.param("example1", 2, id="example1"),
+            pytest.param("equicorrelated_d4", 35, id="equicorrelated_d4"),
+            pytest.param("d5_margin", 2712, id="d5_margin"),
+        ],
+    )
+    def test_python_ints_match_int64(self, request, monkeypatch, system, count):
+        if system == "equicorrelated_d4":
+            moments = {(i, j): F(3, 10) for i in range(1, 5) for j in range(i + 1, 5)}
+            H = build_H(MarginTargets.uniform(4, moments))
+        elif system == "d5_margin":
+            H = d5_margin_H()
+        else:
+            H = build_H(targets_from_pmf(request.getfixturevalue(system), digits=3))
+        assert _extreme_rays(H)[0].dtype == np.int64
+        fast = enumerate_vertices(H)
+        # every bound here is at least 1, so every ray and key operation runs on Python ints
+        monkeypatch.setattr(geometry, "_INT64_BOUND", 1)
+        assert _extreme_rays(H)[0].dtype == object
+        slow = enumerate_vertices(H)
+        assert len(slow) == count
+        assert [v.cells for v in slow.vertices] == [v.cells for v in fast.vertices]
+        for V in (fast, slow):
+            assert all(
+                type(c) is F and type(c.numerator) is int and type(c.denominator) is int
+                for v in V.vertices
+                for c in v.cells
+            )
+        assert polytope_dimension(H) == fast.dimension
 
 
 class TestVertexInvariants:
@@ -361,6 +413,13 @@ class TestMixture:
             MixtureWeights((F(3, 2), F(-1, 2)))
         with pytest.raises(DomainError):
             MixtureWeights((F(1, 3), F(1, 3)))
+
+    @pytest.mark.parametrize(
+        "theta", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.inf, 1.0)]
+    )
+    def test_non_finite_float_weights_rejected(self, theta):
+        with pytest.raises(DomainError, match="finite"):
+            MixtureWeights(theta)
 
 
 class TestDecompose:

@@ -1,6 +1,7 @@
 """Table documents, serialization round trips, and the command-line surface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -48,6 +49,11 @@ class TestRationalStrings:
     def test_bad_literal(self):
         with pytest.raises(TableParseError):
             parse_rational("threeve")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", math.nan, math.inf])
+    def test_non_finite_literal(self, text):
+        with pytest.raises(TableParseError):
+            parse_rational(text)
 
 
 class TestJsonDocuments:
@@ -313,6 +319,16 @@ class TestCliPipelines:
         payload["targets"]["moments"]["ab"] = payload["targets"]["moments"].pop("1,2")
         vertex_file.write_text(json.dumps(payload))
         result = runner.invoke(main, ["mixture", str(vertex_file), "--weights", "1,0"])
+        assert result.exit_code == 3
+
+    @pytest.mark.parametrize("weights", ["nan,1", "1,nan", "inf,0"])
+    def test_non_finite_weights_exit_code(self, runner, tmp_path, weights):
+        vertex_file = tmp_path / "vertices.json"
+        runner.invoke(
+            main,
+            ["vertices", "builtin:example1", "--digits", "3", "--output", str(vertex_file)],
+        )
+        result = runner.invoke(main, ["mixture", str(vertex_file), "--weights", weights])
         assert result.exit_code == 3
 
     def test_decompose_outside_polytope(self, runner, tmp_path):

@@ -185,6 +185,25 @@ class TestEnumerationProperties:
         H = build_H(targets_from_pmf(p, digits=digits))
         assert {v.cells for v in enumerate_vertices(H).vertices} == brute_force_vertices(H)
 
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(
+        rational_pmfs(dims=(2, 3, 4), positive=True),
+        st.integers(1, 3),
+        st.sampled_from(("uniform", "observed")),
+    )
+    def test_vertices_revalidate_as_public_pmfs(self, p, digits, margins):
+        # enumerate_vertices builds its vertices without validation; the public constructor must agree
+        V = enumerate_vertices(build_H(targets_from_pmf(p, digits=digits, margins=margins)))
+        for v in V.vertices:
+            assert all(
+                type(c) is Fraction and type(c.numerator) is int and type(c.denominator) is int
+                for c in v.cells
+            )
+            checked = Pmf(d=v.d, cells=v.cells, mode="rational")
+            assert checked.cells == v.cells
+            assert checked == v
+
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
     @given(rational_pmfs(dims=(3,), positive=True), st.randoms(use_true_random=False))

@@ -75,6 +75,13 @@ class TestPmfValidation:
         with pytest.raises(DomainError):
             Pmf.from_cells([0.25, 0.25, 0.25, 0.2501])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_float_mode_rejects_non_finite_cells(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            Pmf.from_cells([bad, 0.25, 0.25, 0.5], mode="float")
+        with pytest.raises(DomainError, match="non-finite"):
+            Pmf(d=2, cells=(0.25, 0.25, 0.5, bad), mode="float")
+
     def test_cell_count_must_be_power_of_two(self):
         with pytest.raises(DimensionMismatchError):
             Pmf.from_cells([F(1, 3)] * 3)
