@@ -107,7 +107,7 @@ def frac_solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     Returns ``(solution, nullity)`` with the free variables set to 0, or
     ``None`` when the system is inconsistent.
     """
-    aug = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
+    aug = [[*row, v] for row, v in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
     rref, pivots = frac_rref(aug)
     for row in rref:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from . import datasets
+from . import __version__, datasets
 from .constraints import (
     DEFAULT_DIGITS,
     OBSERVED,
@@ -126,7 +126,7 @@ _precision_option = click.option(
 
 
 @click.group()
-@click.version_option(package_name="bintab")
+@click.version_option(__version__, prog_name="bintab")
 def main():
     """Characterize binary tables with fixed margins and pairwise dependence."""
 

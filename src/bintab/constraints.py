@@ -91,7 +91,9 @@ def moment_for_margins(omega, mi1, mj1, digits: int = DEFAULT_DIGITS) -> Fractio
 
     Exactly one root lies in the Frechet interval
     [max(0, a+b-1), min(a, b)] for omega != 1; for omega = 1 the moment is
-    the independence product a*b.  The root is rounded to ``digits``.
+    the independence product a*b.  The root is rounded to ``digits`` and
+    kept in the Frechet interval: a rounded value past a bound becomes that
+    bound, so the targets of any table with these margins stay admissible.
     """
     if isinstance(omega, float) and (math.isnan(omega) or math.isinf(omega)):
         raise DomainError(f"odds ratio must be finite and positive, got {omega}")
@@ -101,10 +103,12 @@ def moment_for_margins(omega, mi1, mj1, digits: int = DEFAULT_DIGITS) -> Fractio
     a, b = Fraction(mi1), Fraction(mj1)
     if not (0 < a < 1 and 0 < b < 1):
         raise DomainError("margins must lie strictly between 0 and 1")
-    if omega == 1:
-        return round_to_digits(a * b, digits)
+    # rounding can step past a bound that is not a digits-decimal; that bound is
+    # then the admissible value nearest to both the rounded and the exact root
     lo = max(Fraction(0), a + b - 1)
     hi = min(a, b)
+    if omega == 1:
+        return min(max(round_to_digits(a * b, digits), lo), hi)
     qa = omega - 1
     qb = -(omega * (a + b) + 1 - a - b)
     qc = omega * a * b
@@ -119,7 +123,7 @@ def moment_for_margins(omega, mi1, mj1, digits: int = DEFAULT_DIGITS) -> Fractio
                   <= Decimal(hi.numerator) / Decimal(hi.denominator)]
     if not inside:
         raise DomainError(f"no admissible moment for omega={omega} with margins ({a}, {b})")
-    return round_to_digits(min(inside), digits)
+    return min(max(round_to_digits(min(inside), digits), lo), hi)
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,9 @@ class EmptyFeasibleSetError(BintabError):
 class NotInPolytopeError(BintabError):
     """A pmf admits no convex representation over the given vertex set.
 
-    ``best_residual`` is the smallest max-norm deviation achievable with
-    any convex combination of the vertices.
+    ``best_residual`` is the max-norm residual of the renormalized
+    nonnegative least-squares fit, not a proven minimum over all convex
+    combinations.
     """
 
     def __init__(self, message, best_residual=None):

@@ -83,12 +83,11 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._linalg import _integer_rows, affine_rank, frac_solve, int_rank
+from ._linalg import _integer_rows, frac_solve, int_rank
 from .constraints import ConstraintMatrix
 from .errors import (
     DimensionMismatchError,
@@ -96,10 +95,7 @@ from .errors import (
     EmptyFeasibleSetError,
     NotInPolytopeError,
 )
-from .table import FLOAT, RATIONAL, Pmf, float_cells
-
-#: Largest vertex count for which decompose searches support subsets exactly.
-EXACT_DECOMPOSE_LIMIT = 16
+from .table import FLOAT, RATIONAL, Pmf, _probability_vector, float_cells
 
 #: Size of the (candidate pairs x rays) block of one vectorized subset test.
 _SUBSET_BLOCK_BYTES = 1 << 20
@@ -142,21 +138,10 @@ class MixtureWeights:
     theta: tuple
 
     def __post_init__(self):
-        theta = tuple(self.theta)
-        if any(t < 0 for t in theta):
-            raise DomainError(f"mixture weights must be nonnegative, got {theta}")
-        if all(isinstance(t, (int, Fraction)) for t in theta):
-            theta = tuple(Fraction(t) for t in theta)
-            if sum(theta) != 1:
-                raise DomainError(f"mixture weights sum to {sum(theta)}, expected exactly 1")
-        else:
-            theta = tuple(float(t) for t in theta)
+        rational = all(isinstance(t, (int, Fraction)) for t in self.theta)
+        theta = _probability_vector(self.theta, rational, "mixture weight", 1e-9)
+        if not rational:
             total = math.fsum(theta)
-            # a NaN weight makes the sum NaN, which the tolerance test below would let through
-            if not math.isfinite(total):
-                raise DomainError(f"mixture weights must be finite, got {theta}")
-            if abs(total - 1.0) > 1e-9:
-                raise DomainError(f"mixture weights sum to {total!r}, expected 1")
             theta = tuple(t / total for t in theta)
         object.__setattr__(self, "theta", theta)
 
@@ -346,18 +331,20 @@ def mixture(weights: Union[MixtureWeights, Sequence], V: VertexSet) -> Pmf:
 def decompose(p: Pmf, V: VertexSet, tol: float = 1e-9) -> MixtureWeights:
     """Mixture weights reproducing ``p`` over the vertex set.
 
-    For rational inputs with at most ``EXACT_DECOMPOSE_LIMIT`` vertices the
-    search is exact: all support subsets of size up to dim+1 are solved in
-    rational arithmetic and, among the exact representations found, the one
-    with the smallest Euclidean norm is returned (unique on segments).
-    Otherwise, or when no exact representation exists, a nonnegative
-    least-squares fit decides membership within ``tol``.
+    A nonnegative least-squares fit (Lawson & Hanson) of ``[V; 1] theta =
+    [p; 1]`` proposes the weights.  When ``p`` and every vertex are
+    rational, the system on the proposed support is solved exactly, and a
+    consistent, nonnegative solution, which proves membership, is returned
+    as exact weights.  Otherwise the renormalized float fit is returned when
+    its max-norm residual is within ``tol``.  Beyond segments the
+    representation need not be unique; the answer is the certified
+    least-squares support, not a canonical choice.
 
     Raises
     ------
     NotInPolytopeError
-        If no convex combination reproduces ``p`` within ``tol``; the error
-        carries the best-achievable max-norm residual.
+        If neither reproduces ``p``; the error carries the max-norm residual
+        of the renormalized least-squares fit.
     """
     n_d = len(V.vertices)
     if n_d == 0:
@@ -365,51 +352,27 @@ def decompose(p: Pmf, V: VertexSet, tol: float = 1e-9) -> MixtureWeights:
     d = V.vertices[0].d
     if p.d != d:
         raise DimensionMismatchError(f"pmf dimension {p.d} != vertex dimension {d}")
-    n = 2**d
-
-    if (
-        p.mode == RATIONAL
-        and n_d <= EXACT_DECOMPOSE_LIMIT
-        and all(v.mode == RATIONAL for v in V.vertices)
-    ):
-        dim = affine_rank([v.cells for v in V.vertices]) or 0
-        best = None
-        best_norm = None
-        for size in range(1, min(n_d, dim + 1) + 1):
-            for subset in combinations(range(n_d), size):
-                rows = [[V.vertices[s].cells[k] for s in subset] for k in range(n)]
-                rows.append([Fraction(1)] * size)
-                rhs = list(p.cells) + [Fraction(1)]
-                solved = frac_solve(rows, rhs)
-                if solved is None:
-                    continue
-                x, nullity = solved
-                if nullity > 0 or any(v < 0 for v in x):
-                    continue
-                theta = [Fraction(0)] * n_d
-                for s, v in zip(subset, x):
-                    theta[s] = v
-                norm = sum(v * v for v in x)
-                if best_norm is None or norm < best_norm:
-                    best, best_norm = theta, norm
-        if best is not None:
-            return MixtureWeights(tuple(best))
 
     from scipy.optimize import nnls  # imported here: it dominates the import time of bintab
 
-    # Nonnegative least squares on the cell system augmented with sum(theta)=1.
     A = np.array([float_cells(v) for v in V.vertices], dtype=float).T
     A_aug = np.vstack([A, np.ones((1, n_d))])
     b_aug = np.concatenate([np.array(float_cells(p)), [1.0]])
+    # theta is never 0: at 0, raising any weight lowers the residual, since v.p + 1 > 0
     theta, _ = nnls(A_aug, b_aug)
-    s = theta.sum()
-    if s <= 0:
-        raise NotInPolytopeError("no convex representation exists", best_residual=math.inf)
-    theta = theta / s
+    support = np.flatnonzero(theta > 0).tolist()
+    if p.mode == RATIONAL and all(v.mode == RATIONAL for v in V.vertices):
+        columns = [V.vertices[j].cells + (1,) for j in support]
+        solved = frac_solve(list(zip(*columns)), p.cells + (1,))
+        # any nonnegative solution proves membership, whatever the nullity
+        if solved is not None and all(x >= 0 for x in solved[0]):
+            exact = dict(zip(support, solved[0]))
+            return MixtureWeights(tuple(exact.get(j, Fraction(0)) for j in range(n_d)))
+    theta = theta / theta.sum()
     res = float(np.max(np.abs(A @ theta - b_aug[:-1])))
     if res <= tol:
         return MixtureWeights(tuple(float(t) for t in theta))
     raise NotInPolytopeError(
-        f"pmf is not in the polytope (best max-norm residual {res:.3e} > tol {tol:.1e})",
+        f"pmf is not in the polytope (least-squares max-norm residual {res:.3e} > tol {tol:.1e})",
         best_residual=res,
     )

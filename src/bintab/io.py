@@ -41,6 +41,9 @@ def format_rational(value: Fraction) -> str:
 
 def parse_rational(text: Union[str, int, float]) -> Fraction:
     """Parse ``"num/den"``, integer, or decimal literals to an exact Fraction."""
+    # JSON null, true/false, arrays and objects are not numbers
+    if isinstance(text, bool) or not isinstance(text, (str, int, float)):
+        raise TableParseError(f"expected a rational number, got {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
@@ -106,7 +109,7 @@ def document_from_json(text: str) -> TableDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TableParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "cells" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise TableParseError("table JSON must be an object with a 'cells' array")
     cells = [parse_rational(c) for c in obj["cells"]]
     kind = obj.get("kind", COUNTS if all(c.denominator == 1 for c in cells) else PROBABILITIES)
@@ -253,13 +256,20 @@ def vertexset_to_json_dict(V: VertexSet, digits: int = 6) -> dict:
     }
 
 
+def _array(value, what: str) -> list:
+    """``value``, which must be a JSON array; a string or object would be iterated silently."""
+    if not isinstance(value, list):
+        raise TableParseError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def targets_from_json_dict(obj: dict) -> MarginTargets:
     try:
-        univariate = tuple(parse_rational(m) for m in obj["univariate"])
-        moments = {
-            _pair_from_key(key): parse_rational(entry["rational"])
-            for key, entry in obj["moments"].items()
-        }
+        univariate = tuple(parse_rational(m) for m in _array(obj["univariate"], "targets 'univariate'"))
+        entries = obj["moments"]
+        if not isinstance(entries, dict):
+            raise TableParseError(f"targets 'moments' must be a JSON object, got {type(entries).__name__}")
+        moments = {_pair_from_key(key): parse_rational(entry["rational"]) for key, entry in entries.items()}
         return MarginTargets(d=obj["d"], univariate=univariate, moments=moments)
     except (KeyError, IndexError, TypeError) as exc:
         raise TableParseError(f"malformed targets JSON: {exc}") from exc
@@ -276,8 +286,8 @@ def vertexset_from_json(text: str) -> VertexSet:
         targets = targets_from_json_dict(obj["targets"])
         H = build_H(targets)
         vertices = []
-        for entry in obj["vertices"]:
-            cells = tuple(parse_rational(c) for c in entry["cells"])
+        for entry in _array(obj["vertices"], "'vertices'"):
+            cells = tuple(parse_rational(c) for c in _array(entry["cells"], "vertex 'cells'"))
             vertices.append(Pmf(d=obj["d"], cells=cells, mode=RATIONAL))
     except (KeyError, TypeError) as exc:
         raise TableParseError(f"malformed vertex JSON: {exc}") from exc

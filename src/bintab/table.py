@@ -78,6 +78,38 @@ def _bit(offset: int, d: int, i: int) -> int:
     return (offset >> (d - i)) & 1
 
 
+def _probability_vector(values: Sequence, rational: bool, what: str, float_tol: float) -> tuple:
+    """``values`` checked to be a probability vector, as a tuple of Fractions or of floats.
+
+    Rational values become Fractions (existing Fractions are kept as they
+    are), none negative, summing to exactly 1: the sum is checked in
+    integers over the lcm of the denominators.  Float values must be
+    nonnegative and finite, with an ``fsum`` within ``float_tol`` of 1.
+    ``what`` names one value in the :class:`DomainError` messages.
+    """
+    if rational:
+        values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+        if any(v.numerator < 0 for v in values):
+            raise DomainError(f"negative {what} in {values}")
+        common = math.lcm(*(v.denominator for v in values))
+        if sum(v.numerator * (common // v.denominator) for v in values) != common:
+            raise DomainError(f"{what} sum {sum(values)}, expected exactly 1")
+        return values
+    try:
+        values = tuple(map(float, values))
+        # finite values can still overflow the sum; a NaN or infinite value skips it
+        total = math.fsum(values) if all(map(math.isfinite, values)) else math.nan
+    except OverflowError as exc:
+        raise DomainError(f"{what} out of float range in {values}") from exc
+    if any(v < 0 for v in values):
+        raise DomainError(f"negative {what} in {values}")
+    if math.isnan(total):
+        raise DomainError(f"non-finite {what} in {values}")
+    if abs(total - 1.0) > float_tol:
+        raise DomainError(f"{what} sum {total!r}, expected 1 within {float_tol}")
+    return values
+
+
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function of a d-way binary table.
@@ -107,26 +139,9 @@ class Pmf:
             raise DimensionMismatchError(
                 f"expected {2**self.d} cells for d={self.d}, got {len(self.cells)}"
             )
-        if self.mode == RATIONAL:
-            cells = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.cells)
-            if any(c.numerator < 0 for c in cells):
-                raise DomainError("negative cell probability")
-            # sum == 1 in integers over the common denominator
-            common = math.lcm(*(c.denominator for c in cells))
-            if sum(c.numerator * (common // c.denominator) for c in cells) != common:
-                raise DomainError(f"cells sum to {sum(cells)}, expected exactly 1")
-        elif self.mode == FLOAT:
-            cells = tuple(float(c) for c in self.cells)
-            if any(c < 0 for c in cells):
-                raise DomainError("negative cell probability")
-            total = math.fsum(cells)
-            # a NaN cell makes the sum NaN, which the tolerance test below would let through
-            if not math.isfinite(total):
-                raise DomainError(f"non-finite cell probability in {cells}")
-            if abs(total - 1.0) > FLOAT_SUM_TOL:
-                raise DomainError(f"cells sum to {total!r}, expected 1 within {FLOAT_SUM_TOL}")
-        else:
+        if self.mode not in (RATIONAL, FLOAT):
             raise DomainError(f"unknown mode {self.mode!r}")
+        cells = _probability_vector(self.cells, self.mode == RATIONAL, "cell probability", FLOAT_SUM_TOL)
         object.__setattr__(self, "cells", cells)
 
     # -- constructors -------------------------------------------------

@@ -84,6 +84,15 @@ class TestMomentForMargins:
         with pytest.raises(DomainError):
             moment_for_margins(F(1, 2), F(1), F(1, 2), 3)
 
+    def test_rounding_stays_inside_frechet_interval(self):
+        # the table (1, 1, 15, 9)/26: margins 12/13 and 5/13, odds ratio 3/5,
+        # moment 9/26 in [4/13, 5/13]; one digit would round it to 3/10 < 4/13
+        assert moment_for_margins(F(3, 5), F(12, 13), F(5, 13), 1) == F(4, 13)
+        p = Pmf.from_cells([F(1, 26), F(1, 26), F(15, 26), F(9, 26)])
+        assert targets_from_pmf(p, digits=1, margins="observed").moments == {(1, 2): F(4, 13)}
+        # the independence product a*b = 0.9216 would round to 9/10 < 23/25
+        assert moment_for_margins(1, F(24, 25), F(24, 25), 1) == F(23, 25)
+
 
 class TestTargetsFromPmf:
     def test_example1_uniform(self, example1):

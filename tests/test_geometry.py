@@ -421,6 +421,18 @@ class TestMixture:
         with pytest.raises(DomainError, match="finite"):
             MixtureWeights(theta)
 
+    def test_overflowing_float_weights_rejected(self):
+        # finite weights whose sum overflows a double
+        with pytest.raises(DomainError):
+            MixtureWeights((1e308, 1e308))
+
+    def test_rational_weights_keep_their_fractions(self):
+        theta = (F(1, 3), F(1, 6), F(1, 2))
+        assert all(a is b for a, b in zip(MixtureWeights(theta).theta, theta))
+        assert MixtureWeights((1, 0)).theta == (F(1), F(0))
+        with pytest.raises(DomainError, match="expected exactly 1"):
+            MixtureWeights((F(1, 3), F(1, 3), 0))
+
 
 class TestDecompose:
     def test_vertex_recovers_unit_weight(self, example1_vertices):
@@ -447,6 +459,33 @@ class TestDecompose:
         w = decompose(p, example1_vertices, tol=1e-9)
         q = mixture(w, example1_vertices)
         assert max(abs(a - b) for a, b in zip(p.cells, q.cells)) <= 1e-9
+
+    def test_degenerate_d4_system_is_exact(self):
+        # 16 vertices in dimension 5: every vertex is its own unit weight, and the
+        # centroid, which many supports represent, gets exact weights that mix back to it
+        moments = {
+            (1, 2): F(3, 20), (1, 3): F(2, 5), (1, 4): F(3, 20),
+            (2, 3): F(3, 20), (2, 4): F(1, 4), (3, 4): F(1, 5),
+        }
+        V = enumerate_vertices(build_H(MarginTargets(d=4, univariate=(F(1, 2),) * 4, moments=moments)))
+        assert (len(V), V.dimension) == (16, 5)
+        for i, v in enumerate(V.vertices):
+            assert decompose(v, V).theta == tuple(F(int(i == j)) for j in range(len(V)))
+        centroid = mixture(MixtureWeights((F(1, 16),) * 16), V)
+        weights = decompose(centroid, V)
+        assert all(type(t) is Fraction for t in weights.theta)
+        assert mixture(weights, V) == centroid
+
+    def test_water_rational_mix_is_exact(self, water):
+        V = enumerate_vertices(build_H(targets_from_pmf(water, digits=3)))
+        assert len(V) == 96
+        theta = [F(0)] * len(V)
+        for index, weight in ((3, F(1, 2)), (40, F(1, 3)), (77, F(1, 6))):
+            theta[index] = weight
+        point = mixture(MixtureWeights(tuple(theta)), V)
+        weights = decompose(point, V)
+        assert all(type(t) is Fraction for t in weights.theta)
+        assert mixture(weights, V) == point
 
     def test_water_vertex_excluded_is_unrepresentable(self, water):
         V = enumerate_vertices(build_H(targets_from_pmf(water, digits=3)))

@@ -56,6 +56,12 @@ class TestRationalStrings:
             parse_rational(text)
 
 
+    @pytest.mark.parametrize("value", [None, True, {"a": 1}, [1]])
+    def test_non_number_value(self, value):
+        with pytest.raises(TableParseError):
+            parse_rational(value)
+
+
 class TestJsonDocuments:
     def test_counts_document(self):
         doc = document_from_json(json.dumps({"d": 3, "kind": "counts", "cells": list(range(1, 9))}))
@@ -197,6 +203,15 @@ class TestCliAnalyze:
         result = runner.invoke(main, ["analyze", str(bad)])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "document", [{"cells": [None, 1, 2, 3]}, {"cells": [1, 2, {"a": 1}, 3]}, {"cells": 5}]
+    )
+    def test_malformed_cells_exit_code(self, runner, tmp_path, document):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        result = runner.invoke(main, ["analyze", str(bad)])
+        assert result.exit_code == 3, result.output
+
     def test_missing_file_exit_code(self, runner):
         result = runner.invoke(main, ["analyze", "no/such/file.json"])
         assert result.exit_code == 3
@@ -321,6 +336,22 @@ class TestCliPipelines:
         result = runner.invoke(main, ["mixture", str(vertex_file), "--weights", "1,0"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("field", ["moments", "cell"])
+    def test_malformed_vertex_file_exit_code(self, runner, tmp_path, field):
+        vertex_file = tmp_path / "vertices.json"
+        runner.invoke(
+            main,
+            ["vertices", "builtin:example1", "--digits", "3", "--output", str(vertex_file)],
+        )
+        payload = json.loads(vertex_file.read_text())
+        if field == "moments":
+            payload["targets"]["moments"] = []
+        else:
+            payload["vertices"][0]["cells"][0] = None
+        vertex_file.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["mixture", str(vertex_file), "--weights", "1,0"])
+        assert result.exit_code == 3, result.output
+
     @pytest.mark.parametrize("weights", ["nan,1", "1,nan", "inf,0"])
     def test_non_finite_weights_exit_code(self, runner, tmp_path, weights):
         vertex_file = tmp_path / "vertices.json"
@@ -430,9 +461,16 @@ class TestCliReproduce:
         assert result.exit_code != 0
 
 
+def test_version_from_source_checkout(runner):
+    # reads bintab.__version__, not the metadata of an installed package
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"bintab, version {bintab.__version__}\n"
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs most of the CLI's start-up; only decompose's
-    # least-squares fallback needs it
+    # least-squares proposal needs it
     src = str(Path(bintab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, bintab.cli; print('scipy.optimize' in sys.modules)"

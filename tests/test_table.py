@@ -82,6 +82,11 @@ class TestPmfValidation:
         with pytest.raises(DomainError, match="non-finite"):
             Pmf(d=2, cells=(0.25, 0.25, 0.5, bad), mode="float")
 
+    def test_float_mode_rejects_overflowing_cells(self):
+        # finite cells whose sum overflows a double
+        with pytest.raises(DomainError):
+            Pmf.from_cells([1e308, 1e308, 0.0, 0.0], mode="float")
+
     def test_cell_count_must_be_power_of_two(self):
         with pytest.raises(DimensionMismatchError):
             Pmf.from_cells([F(1, 3)] * 3)
