@@ -2,10 +2,11 @@
 
 Small dense systems only (at most a few dozen rows/columns).  Rational
 rows are scaled to primitive integer rows with :func:`_integer_rows`, and
-both eliminations run on Python integers: a fraction-free Gauss-Jordan for
-the reduced row echelon form, divided into Fractions once per pivot row at
-the end, and a fraction-free Bareiss rank, which is what the
-vertex-enumeration code uses.
+both eliminations run on Python integers: a fraction-free Gauss-Jordan
+(:func:`_int_rref`) for the reduced row echelon form, divided into
+Fractions once per pivot row at the end, and a fraction-free Bareiss rank,
+which is what the vertex-enumeration code uses.  The interior-point
+certificate in ``geometry`` reads the integer Gauss-Jordan rows directly.
 """
 
 from __future__ import annotations
@@ -29,24 +30,18 @@ def _integer_rows(rows: Sequence[Sequence]) -> List[Tuple[int, ...]]:
     return out
 
 
-def frac_rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form.
+def _int_rref(m: List[List[int]]) -> List[int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place; returns the pivot columns.
 
-    Returns ``(rref_rows, pivot_columns)`` where ``rref_rows`` is a list of
-    lists of Fractions, as many as the input rows (zero rows last), and
-    ``pivot_columns`` lists the pivot column of each nonzero row.
-
-    The elimination runs on primitive integer rows: clearing column ``c``
-    of row ``i`` with pivot row ``p`` is ``p[c] * row_i - row_i[c] * p``,
-    after which row ``i`` is divided by the gcd of its entries.  Each pivot
-    row is divided by its pivot entry at the end.  The reduced row echelon
-    form of a matrix is unique, so this is the same result as Gauss-Jordan
-    over Fractions.
+    Clearing column ``c`` of row ``i`` with pivot row ``p`` is
+    ``p[c] * row_i - row_i[c] * p``, after which row ``i`` is divided by the
+    gcd of its entries.  On return the first ``len(pivots)`` rows are the
+    pivot rows, each zero in every other pivot column, and the rest are
+    zero; each row is a primitive integer multiple of the corresponding row
+    of the reduced row echelon form.
     """
-    rational = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
-    m = [list(row) for row in _integer_rows(rational)]
     if not m:
-        return [], []
+        return []
     ncols = len(m[0])
     pivots = []
     r = 0
@@ -67,9 +62,30 @@ def frac_rref(rows: Sequence[Sequence[Fraction]]):
         r += 1
         if r == len(m):
             break
+    return pivots
+
+
+def frac_rref(rows: Sequence[Sequence[Fraction]]):
+    """Reduced row echelon form.
+
+    Returns ``(rref_rows, pivot_columns)`` where ``rref_rows`` is a list of
+    lists of Fractions, as many as the input rows (zero rows last), and
+    ``pivot_columns`` lists the pivot column of each nonzero row.
+
+    The elimination runs on primitive integer rows (:func:`_int_rref`), and
+    each pivot row is divided by its pivot entry at the end.  The reduced
+    row echelon form of a matrix is unique, so this is the same result as
+    Gauss-Jordan over Fractions.
+    """
+    rational = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
+    m = [list(row) for row in _integer_rows(rational)]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = _int_rref(m)
     out = []
     for i, row in enumerate(m):
-        if i < r:
+        if i < len(pivots):
             pv = row[pivots[i]]
             out.append([Fraction(v, pv) for v in row])
         else:

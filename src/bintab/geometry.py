@@ -56,12 +56,26 @@ Each inserted row emits one debug record on the ``bintab.geometry`` logger
 with its counts: rays in and out, candidate pairs, and pairs left after
 each filter.
 
-The affine dimension is read off the ray matrix: with S its columns that
-are nonzero in some ray, every feasible table is zero off S and the
-centroid of the vertices is positive on S, so the affine hull is
+The affine dimension is certified first and enumerated only as a
+fallback.  The certificate is one exact full-support feasible table: a
+float least-squares projection of the uniform table onto
+``{H y = 0, sum(y) = 1}`` proposes it, its coordinates free in the
+fraction-free integer Gauss-Jordan form of H are set to positive integers
+from the proposal, and the signs of the pivot coordinates they force are
+read exactly from the integer rows.  When every coordinate is positive,
+the polytope is nonempty, its affine hull is ``{H y = 0, sum(y) = 1}``,
+and its dimension is ``2^d - 1 - rank(H)`` (the all-ones row is not in the
+row space of H, as the point has a positive sum); no rays are needed.  This
+also answers the feasibility check of IPF.  Empty and degenerate
+polytopes have no such point, and an unlucky proposal may miss one; then
+the dimension is read off the ray matrix: with S its columns that are
+nonzero in some ray, every feasible table is zero off S and the centroid
+of the vertices is positive on S, so the affine hull is
 ``{x : x = 0 off S, H x = 0, sum(x) = 1}`` of dimension
 ``|S| - 1 - rank(H restricted to the S columns)``.  This is exact on
-degenerate polytopes whose points all vanish on some cells.
+degenerate polytopes whose points all vanish on some cells.  Each
+certificate attempt emits one debug record on ``bintab.geometry`` whose
+mapping arguments are ``certified`` and ``rank``.
 
 :func:`enumerate_vertices` is the one entry point: it divides each ray by
 its coordinate sum into a vertex pmf, in one pass over the ray matrix.  One
@@ -87,7 +101,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._linalg import _integer_rows, frac_solve, int_rank
+from ._linalg import _int_rref, _integer_rows, frac_solve, int_rank
 from .constraints import ConstraintMatrix
 from .errors import (
     DimensionMismatchError,
@@ -284,18 +298,62 @@ def _support_dimension(H: ConstraintMatrix, cols: Sequence[int]) -> int:
     return len(cols) - 1 - int_rank([[row[c] for c in cols] for row in _integer_rows(H.rows)])
 
 
+def _uniform_projection(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """Float least-squares projection of the uniform table onto ``{y : rows y = 0, sum(y) = 1}``."""
+    # each row over its largest magnitude: the same kernel, and floats in [-1, 1] for integers of any size
+    scales = [max(map(abs, row)) or 1 for row in rows]
+    A = np.array([[v / s for v in row] for row, s in zip(rows, scales)] + [[1.0] * n])
+    u = np.full(n, 1.0 / n)
+    b = np.zeros(len(A))
+    b[-1] = 1.0
+    return u + np.linalg.lstsq(A, b - A @ u, rcond=None)[0]
+
+
+def _interior_rank(H: ConstraintMatrix) -> Optional[int]:
+    """``rank(H)`` when an exact full-support feasible table certifies it, else None.
+
+    A float proposal (:func:`_uniform_projection`) sets the free
+    coordinates of the integer Gauss-Jordan form of H to integers (its
+    values times 2^62, truncated); each pivot coordinate is then the exact
+    rational that its row forces.  When every coordinate is positive, that
+    rational point lies in the cone with full support, which proves the
+    polytope nonempty of dimension ``2^d - 1 - rank(H)``.  None means only
+    that this proposal certified nothing: the polytope may be empty,
+    degenerate, or the proposal unlucky.
+    """
+    rows = _integer_rows(H.rows)
+    m = [list(row) for row in rows]
+    pivots = _int_rref(m)
+    free = sorted(set(range(H.n_cols)) - set(pivots))
+    y = [int(v * 2.0**62) for v in _uniform_projection(rows, H.n_cols)[free].tolist()]
+    # pivot coordinate = -(row . y) / row[pivot]: positive iff the dot product and the pivot differ in sign
+    certified = all(v > 0 for v in y) and all(
+        sum(row[c] * v for c, v in zip(free, y)) * row[pc] < 0 for row, pc in zip(m, pivots)
+    )
+    logger.debug(
+        "interior point certificate: certified %(certified)s, rank %(rank)d",
+        {"certified": certified, "rank": len(pivots)},
+    )
+    return len(pivots) if certified else None
+
+
 def polytope_dimension(H: ConstraintMatrix) -> int:
     """Affine dimension of the feasible polytope.
 
-    Exact for every nonempty polytope, degenerate ones included: it is
-    computed from the support of the enumerated extreme rays (see the
-    module docstring), not from ``rank(H)`` alone.
+    Exact for every nonempty polytope, degenerate ones included.  An exact
+    full-support feasible table (:func:`_interior_rank`) proves the
+    dimension is ``2^d - 1 - rank(H)`` without enumerating; when none is
+    certified, the dimension is computed from the support of the
+    enumerated extreme rays (see the module docstring).
 
     Raises
     ------
     EmptyFeasibleSetError
         If the polytope is empty.
     """
+    rank = _interior_rank(H)
+    if rank is not None:
+        return H.n_cols - 1 - rank
     R, certificate = _extreme_rays(H)
     _require_nonempty(R, certificate)
     return _support_dimension(H, np.flatnonzero((R != 0).any(axis=0)).tolist())

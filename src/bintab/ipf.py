@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import MarginTargets, build_H
-from .geometry import _extreme_rays, _require_nonempty
+from .geometry import _extreme_rays, _interior_rank, _require_nonempty
 from .table import FLOAT, Pmf, all_pairs
 
 DEFAULT_TOL = 1e-10
@@ -65,10 +65,13 @@ def ipf_max_entropy(
     Raises
     ------
     EmptyFeasibleSetError
-        If the targets admit no feasible table at all (checked exactly via
-        ray enumeration before iterating).
+        If the targets admit no feasible table at all.  Feasibility is
+        checked exactly before iterating: by a certified full-support
+        feasible table when one is found, else by ray enumeration.
     """
-    _require_nonempty(*_extreme_rays(build_H(targets)), "targets admit no feasible table")
+    H = build_H(targets)
+    if _interior_rank(H) is None:
+        _require_nonempty(*_extreme_rays(H), "targets admit no feasible table")
 
     d = targets.d
     n = 2**d

@@ -27,6 +27,7 @@ from bintab import (
     top_order_odds_ratio,
 )
 from bintab import geometry
+from bintab import ipf as ipf_module
 from bintab._linalg import _integer_rows, frac_rank, int_rank
 from bintab.geometry import _extreme_rays
 from conftest import (
@@ -368,6 +369,90 @@ class TestPolytopeDimension:
                 query()
             assert excinfo.value.certificate is not None
         assert enumerate_vertices(build_H(targets)).dimension == -1
+
+
+@pytest.fixture
+def no_ray_pass(monkeypatch):
+    """Make every double-description ray pass fail the test."""
+
+    def forbidden(H):
+        raise AssertionError("ray pass run")
+
+    for module in (geometry, ipf_module):
+        monkeypatch.setattr(module, "_extreme_rays", forbidden)
+
+
+def generic_targets(d):
+    """Uniform-margin digits-2 targets of a random positive d-way table."""
+    return random_targets(random.Random(d), d)
+
+
+#: mu12 = 1/2 forces X1 = X2: a single-vertex polytope with no full-support point
+DEGENERATE_D3 = MarginTargets.uniform(3, {(1, 2): F(1, 2), (1, 3): F(1, 4), (2, 3): F(1, 4)})
+
+
+class TestInteriorCertificate:
+    @pytest.mark.parametrize("system, dimension", [("water", 5), ("generic_d5", 16)])
+    def test_zero_ray_passes(self, request, no_ray_pass, system, dimension):
+        if system == "water":
+            targets = targets_from_pmf(request.getfixturevalue("water"), digits=3)
+        else:
+            targets = generic_targets(5)
+        assert polytope_dimension(build_H(targets)) == dimension
+        assert ipf_max_entropy(targets).converged
+
+    @pytest.mark.parametrize("d", [5, 6, 7])
+    def test_generic_dimension_is_corank(self, no_ray_pass, d):
+        H = build_H(generic_targets(d))
+        assert polytope_dimension(H) == 2**d - 1 - frac_rank(H.rows)
+
+    def test_margin_only_d5(self, no_ray_pass):
+        assert polytope_dimension(d5_margin_H()) == 26
+
+    def test_random_d3_systems_match_oracle(self):
+        from bintab._linalg import affine_rank
+
+        rng = random.Random(2718)
+        for _ in range(12):
+            H = build_H(random_targets(rng, 3, digits=2))
+            expected = affine_rank(sorted(brute_force_vertices(H)))
+            # targets of a positive table: every one of these certifies
+            assert 7 - geometry._interior_rank(H) == polytope_dimension(H) == expected
+
+    def test_nonpositive_proposal_falls_back(self, water, example1, monkeypatch):
+        calls = []
+        original = geometry._extreme_rays
+
+        def counting(H):
+            calls.append(H)
+            return original(H)
+
+        for module in (geometry, ipf_module):
+            monkeypatch.setattr(module, "_extreme_rays", counting)
+        monkeypatch.setattr(geometry, "_uniform_projection", lambda rows, n: np.full(n, -1.0 / n))
+        cases = [
+            (targets_from_pmf(water, digits=3), 5),
+            (targets_from_pmf(example1, digits=3), 1),
+            (DEGENERATE_D3, 0),
+        ]
+        for targets, dimension in cases:
+            assert geometry._interior_rank(build_H(targets)) is None
+            assert polytope_dimension(build_H(targets)) == dimension
+        assert len(calls) == len(cases)
+        assert ipf_max_entropy(cases[1][0]).converged
+        assert len(calls) == len(cases) + 1
+        empty = MarginTargets.uniform(3, {(1, 2): F(1, 10), (1, 3): F(1, 10), (2, 3): F(1, 10)})
+        for query in (lambda: polytope_dimension(build_H(empty)), lambda: ipf_max_entropy(empty)):
+            with pytest.raises(EmptyFeasibleSetError) as excinfo:
+                query()
+            assert excinfo.value.certificate is not None
+
+    def test_one_record_per_attempt(self, water, caplog):
+        with caplog.at_level(logging.DEBUG, logger="bintab.geometry"):
+            polytope_dimension(build_H(targets_from_pmf(water, digits=3)))
+            polytope_dimension(build_H(DEGENERATE_D3))
+        records = [r.args for r in caplog.records if r.name == "bintab.geometry" and "certified" in r.args]
+        assert records == [{"certified": True, "rank": 10}, {"certified": False, "rank": 6}]
 
 
 class TestMixture:

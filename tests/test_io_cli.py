@@ -253,19 +253,21 @@ class TestCliVertices:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
-        "argv, expected",
+        "argv, expected, passes",
         [
-            pytest.param(["vertices", "builtin:water", "--digits", "3"], "dimension 5", id="vertices"),
+            pytest.param(["vertices", "builtin:water", "--digits", "3"], "dimension 5", 1, id="vertices"),
             pytest.param(
                 ["sample", "builtin:water", "--digits", "3", "--method", "hitrun",
                  "--count", "2", "--burn-in", "5", "--thinning", "1"],
                 '"method": "hitrun"',
+                1,
                 id="sample-hitrun",
             ),
-            pytest.param(["ipf", "builtin:water", "--digits", "3"], "IPF converged", id="ipf"),
+            # the feasibility check is an exact interior-point certificate, not a ray pass
+            pytest.param(["ipf", "builtin:water", "--digits", "3"], "IPF converged", 0, id="ipf"),
         ],
     )
-    def test_one_enumeration_per_call(self, runner, monkeypatch, argv, expected):
+    def test_one_enumeration_per_call(self, runner, monkeypatch, argv, expected, passes):
         import bintab.cli
         import bintab.geometry
         import bintab.ipf
@@ -284,7 +286,7 @@ class TestCliVertices:
         result = runner.invoke(main, argv)
         assert result.exit_code == 0
         assert expected in result.output
-        assert len(calls) == 1
+        assert len(calls) == passes
 
     def test_unsupported_targets_exit_code(self, runner, tmp_path):
         table = tmp_path / "degenerate.json"
@@ -466,6 +468,14 @@ def test_version_from_source_checkout(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0, result.output
     assert result.output == f"bintab, version {bintab.__version__}\n"
+
+
+def test_package_version_has_one_source():
+    # pyproject.toml reads the version from bintab.__version__ instead of repeating it
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    config = pyprojecttoml.read_configuration(Path(__file__).resolve().parents[1] / "pyproject.toml")
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["project"]["version"] == bintab.__version__
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
