@@ -1,19 +1,21 @@
-"""Exact linear algebra over rationals and integers.
+"""Exact linear algebra over rationals, on Python integers.
 
-Small dense systems only (at most a few dozen rows/columns).  Rational
-rows are scaled to primitive integer rows with :func:`_integer_rows`, and
-both eliminations run on Python integers: a fraction-free Gauss-Jordan
-(:func:`_int_rref`) for the reduced row echelon form, divided into
-Fractions once per pivot row at the end, and a fraction-free Bareiss rank,
-which is what the vertex-enumeration code uses.  The interior-point
-certificate in ``geometry`` reads the integer Gauss-Jordan rows directly.
+Small dense systems only (at most a few dozen rows/columns).  There is one
+elimination, :func:`_int_rref`: rational rows are scaled to primitive
+integer rows (:func:`_integer_rows`) and reduced by fraction-free
+Gauss-Jordan.  Each row it returns is a primitive integer multiple of a row
+of the reduced row echelon form, which is unique, so a Fraction read off
+it (an entry over the row's pivot entry) is the one plain Gauss-Jordan over
+Fractions gives.  The rank is the number of pivots.  :func:`frac_nullspace`
+and :func:`frac_solve` read the rows, and so do the support-rank and the
+interior-point certificate in ``geometry``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> List[Tuple[int, ...]]:
@@ -30,22 +32,21 @@ def _integer_rows(rows: Sequence[Sequence]) -> List[Tuple[int, ...]]:
     return out
 
 
-def _int_rref(m: List[List[int]]) -> List[int]:
-    """Fraction-free Gauss-Jordan on integer rows, in place; returns the pivot columns.
+def _int_rref(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
+    """Integer reduced row echelon form of rational ``rows``, and its pivot columns.
 
-    Clearing column ``c`` of row ``i`` with pivot row ``p`` is
+    Fraction-free Gauss-Jordan on the rows scaled by :func:`_integer_rows`:
+    clearing column ``c`` of row ``i`` with pivot row ``p`` is
     ``p[c] * row_i - row_i[c] * p``, after which row ``i`` is divided by the
-    gcd of its entries.  On return the first ``len(pivots)`` rows are the
-    pivot rows, each zero in every other pivot column, and the rest are
-    zero; each row is a primitive integer multiple of the corresponding row
-    of the reduced row echelon form.
+    gcd of its entries.  Returns all rows, the pivot rows first: row ``i <
+    len(pivots)`` is a primitive integer multiple of the ``i``-th row of the
+    reduced row echelon form, zero in every other pivot column, and the
+    rest are zero.
     """
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivots = []
+    m = [list(row) for row in _integer_rows(rows)]
+    pivots: List[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
         pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
@@ -62,40 +63,7 @@ def _int_rref(m: List[List[int]]) -> List[int]:
         r += 1
         if r == len(m):
             break
-    return pivots
-
-
-def frac_rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form.
-
-    Returns ``(rref_rows, pivot_columns)`` where ``rref_rows`` is a list of
-    lists of Fractions, as many as the input rows (zero rows last), and
-    ``pivot_columns`` lists the pivot column of each nonzero row.
-
-    The elimination runs on primitive integer rows (:func:`_int_rref`), and
-    each pivot row is divided by its pivot entry at the end.  The reduced
-    row echelon form of a matrix is unique, so this is the same result as
-    Gauss-Jordan over Fractions.
-    """
-    rational = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows]
-    m = [list(row) for row in _integer_rows(rational)]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = _int_rref(m)
-    out = []
-    for i, row in enumerate(m):
-        if i < len(pivots):
-            pv = row[pivots[i]]
-            out.append([Fraction(v, pv) for v in row])
-        else:
-            out.append([Fraction(0)] * ncols)
-    return out, pivots
-
-
-def frac_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    _, pivots = frac_rref(rows)
-    return len(pivots)
+    return m, pivots
 
 
 def frac_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
@@ -103,16 +71,13 @@ def frac_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
 
     Each basis vector sets one free variable to 1 and the others to 0.
     """
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for i in range(ncols)) for j in range(ncols)]
-    rref, pivots = frac_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots = _int_rref(rows)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -rref[row_idx][fc]
+        for row, pc in zip(m, pivots):
+            vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(vec))
     return basis
 
@@ -123,53 +88,11 @@ def frac_solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     Returns ``(solution, nullity)`` with the free variables set to 0, or
     ``None`` when the system is inconsistent.
     """
-    aug = [[*row, v] for row, v in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
-    rref, pivots = frac_rref(aug)
-    for row in rref:
-        if row[-1] != 0 and all(v == 0 for v in row[:-1]):
-            return None
-    x = [Fraction(0)] * ncols
-    for row_idx, pc in enumerate(pivots):
-        if pc == ncols:  # pivot in the augmented column: inconsistent
-            return None
-        x[pc] = rref[row_idx][-1]
-    return tuple(x), ncols - len(pivots)
-
-
-def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix via fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pr = m[rank]
-        for i in range(rank + 1, nrows):
-            # rows with a zero in the pivot column still need the Bareiss
-            # rescaling, or later exact divisions break
-            ric = m[i][c]
-            mi = m[i]
-            for j in range(c + 1, ncols):
-                mi[j] = (mi[j] * pr[c] - ric * pr[j]) // prev
-            mi[c] = 0
-        prev = pr[c]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def affine_rank(points: Sequence[Sequence[Fraction]]) -> Optional[int]:
-    """Dimension of the affine hull of the given points (None when empty)."""
-    if not points:
+    m, pivots = _int_rref([[*row, v] for row, v in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:  # a pivot in the augmented column
         return None
-    base = points[0]
-    diffs = [[Fraction(a) - Fraction(b) for a, b in zip(p, base)] for p in points[1:]]
-    return frac_rank(diffs) if diffs else 0
+    x = [Fraction(0)] * ncols
+    for row, pc in zip(m, pivots):
+        x[pc] = Fraction(row[-1], row[pc])
+    return tuple(x), ncols - len(pivots)

@@ -59,6 +59,7 @@ from .table import (
     Pmf,
     all_pairs,
     conditional_odds_ratio,
+    configuration,
     correlation,
     marginal_odds_ratio,
     top_order_odds_ratio,
@@ -147,7 +148,7 @@ def analyze(source, as_json, precision_mode):
     conditional = {}
     for (i, j) in pairs:
         for offset in range(2 ** (d - 2)):
-            rest = tuple((offset >> (d - 2 - 1 - b)) & 1 for b in range(d - 2)) if d > 2 else ()
+            rest = configuration(offset + 1, d - 2) if d > 2 else ()
             conditional[(i, j, rest)] = conditional_odds_ratio(pmf, i, j, rest)
     top = top_order_odds_ratio(pmf)
 

@@ -101,7 +101,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._linalg import _int_rref, _integer_rows, frac_solve, int_rank
+from ._linalg import _int_rref, _integer_rows, frac_solve
 from .constraints import ConstraintMatrix
 from .errors import (
     DimensionMismatchError,
@@ -295,7 +295,8 @@ def _require_nonempty(found: Sequence, certificate, message: str = "the feasible
 
 def _support_dimension(H: ConstraintMatrix, cols: Sequence[int]) -> int:
     """``|S| - 1 - rank(H on the S columns)`` for S the sorted column indices ``cols``."""
-    return len(cols) - 1 - int_rank([[row[c] for c in cols] for row in _integer_rows(H.rows)])
+    _, pivots = _int_rref([[row[c] for c in cols] for row in H.rows])
+    return len(cols) - 1 - len(pivots)
 
 
 def _uniform_projection(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
@@ -322,8 +323,7 @@ def _interior_rank(H: ConstraintMatrix) -> Optional[int]:
     degenerate, or the proposal unlucky.
     """
     rows = _integer_rows(H.rows)
-    m = [list(row) for row in rows]
-    pivots = _int_rref(m)
+    m, pivots = _int_rref(rows)
     free = sorted(set(range(H.n_cols)) - set(pivots))
     y = [int(v * 2.0**62) for v in _uniform_projection(rows, H.n_cols)[free].tolist()]
     # pivot coordinate = -(row . y) / row[pivot]: positive iff the dot product and the pivot differ in sign

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constraints import MarginTargets, build_H
 from .geometry import _extreme_rays, _interior_rank, _require_nonempty
-from .table import FLOAT, Pmf, all_pairs
+from .table import FLOAT, Pmf, _bit, all_pairs
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50_000
@@ -42,7 +42,7 @@ class IpfReport:
 def _pair_blocks(d: int):
     """Boolean index arrays for the four (k1, k2) blocks of every pair."""
     n = 2**d
-    bits = np.array([[(k >> (d - i)) & 1 for i in range(1, d + 1)] for k in range(n)], dtype=bool)
+    bits = np.array([[_bit(k, d, i) for i in range(1, d + 1)] for k in range(n)], dtype=bool)
     blocks = {}
     for (i, j) in all_pairs(d):
         bi, bj = bits[:, i - 1], bits[:, j - 1]

@@ -58,7 +58,7 @@ def configuration(k: int, d: int) -> Configuration:
     if not 1 <= k <= 2**d:
         raise DomainError(f"cell index {k} outside 1..{2**d}")
     offset = k - 1
-    return tuple((offset >> (d - 1 - j)) & 1 for j in range(d))
+    return tuple(_bit(offset, d, i) for i in range(1, d + 1))
 
 
 def _check_configuration(alpha: Sequence[int]) -> None:

@@ -195,12 +195,25 @@ def _gauss_rank(rows):
         if pivot is None:
             continue
         sol_rows[r], sol_rows[pivot] = sol_rows[pivot], sol_rows[r]
-        for i in range(len(sol_rows)):
-            if i != r and sol_rows[i][c] != 0:
+        for i in range(r + 1, len(sol_rows)):
+            if sol_rows[i][c] != 0:
                 f = sol_rows[i][c] / sol_rows[r][c]
                 sol_rows[i] = [a - f * b for a, b in zip(sol_rows[i], sol_rows[r])]
         r += 1
     return r
+
+
+def reference_rank(rows):
+    """Rank over the rationals of int or Fraction rows, by :func:`_gauss_rank`."""
+    return _gauss_rank([[F(v) for v in row] for row in rows])
+
+
+def reference_affine_rank(points):
+    """Dimension of the affine hull of the points; None when there are none."""
+    if not points:
+        return None
+    base = points[0]
+    return reference_rank([[F(a) - F(b) for a, b in zip(p, base)] for p in points[1:]])
 
 
 def brute_force_vertices(H) -> set:

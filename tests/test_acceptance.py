@@ -38,9 +38,8 @@ from bintab import (
     univariate_margin,
     zero_mean_params,
 )
-from bintab._linalg import frac_rank
 from bintab.datasets import builtin_pmf
-from conftest import brute_force_vertices, random_rational_pmf, random_uniform_margin_pmf
+from conftest import brute_force_vertices, random_rational_pmf, random_uniform_margin_pmf, reference_rank
 
 F = Fraction
 
@@ -149,7 +148,7 @@ def test_criterion_06_d4_vertex_count():
     H = build_H(targets_from_pmf(builtin_pmf("water"), digits=3))
     V = enumerate_vertices(H)
     assert len(V.vertices) == 96
-    rank = frac_rank(H.rows)
+    rank = reference_rank(H.rows)
     cells = {v.cells for v in V.vertices}
     for v in V.vertices:
         assert satisfies(H, v, 0)

@@ -28,7 +28,6 @@ from bintab import (
 )
 from bintab import geometry
 from bintab import ipf as ipf_module
-from bintab._linalg import _integer_rows, frac_rank, int_rank
 from bintab.geometry import _extreme_rays
 from conftest import (
     EXAMPLE1_VERTEX_A,
@@ -36,6 +35,8 @@ from conftest import (
     brute_force_vertices,
     random_rational_pmf,
     random_targets,
+    reference_affine_rank,
+    reference_rank,
 )
 
 F = Fraction
@@ -65,7 +66,9 @@ def reference_rays(H):
     n = H.n_cols
     rays = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     processed = []
-    for label, h in zip(H.labels, _integer_rows(H.rows)):
+    for label, rational in zip(H.labels, H.rows):
+        lcm = math.lcm(*(v.denominator for v in rational))
+        h = primitive([v.numerator * (lcm // v.denominator) for v in rational])
         masks = [sum(1 << c for c, v in enumerate(r) if v) for r in rays]
         vals = [sum(a * b for a, b in zip(h, r)) for r in rays]
         new_rays = [r for r, v in zip(rays, vals) if v == 0]
@@ -76,7 +79,7 @@ def reference_rays(H):
                 if any(k not in (ip, im) and m & ~union == 0 for k, m in enumerate(masks)):
                     continue
                 cols = [c for c in range(n) if union >> c & 1]
-                assert int_rank([[row[c] for c in cols] for row in processed]) == len(cols) - 2, (
+                assert reference_rank([[row[c] for c in cols] for row in processed]) == len(cols) - 2, (
                     f"row {label}: a combinatorially adjacent pair fails the rank test"
                 )
                 ray = primitive([vals[ip] * b - vals[im] * a for a, b in zip(rays[ip], rays[im])])
@@ -203,7 +206,7 @@ class TestExtremeRays:
         assert len(V) == 2712
         cells = {v.cells for v in V.vertices}
         assert {tuple(reversed(c)) for c in cells} == cells
-        rank = frac_rank(H.rows)
+        rank = reference_rank(H.rows)
         assert all(v.support_size() <= rank + 1 for v in V.vertices)
 
     def test_row_trace_is_logged(self, water, caplog):
@@ -280,7 +283,7 @@ class TestVertexInvariants:
 
     def test_support_bound(self, water):
         H = build_H(targets_from_pmf(water, digits=3))
-        rank = frac_rank(H.rows)
+        rank = reference_rank(H.rows)
         for v in enumerate_vertices(H).vertices:
             assert v.support_size() <= rank + 1
 
@@ -344,8 +347,6 @@ class TestPolytopeDimension:
         ],
     )
     def test_matches_vertex_affine_rank(self, request, system, expected):
-        from bintab._linalg import affine_rank
-
         if system == "degenerate_d3":
             # mu12 = 1/2 forces X1 = X2, so no feasible table has full support
             # and 2^d - 1 - rank(H) overstates the dimension; the polytope is
@@ -357,7 +358,7 @@ class TestPolytopeDimension:
             targets = targets_from_pmf(request.getfixturevalue(system), digits=3)
         H = build_H(targets)
         V = enumerate_vertices(H)
-        assert polytope_dimension(H) == affine_rank([v.cells for v in V.vertices]) == expected
+        assert polytope_dimension(H) == reference_affine_rank([v.cells for v in V.vertices]) == expected
         assert V.dimension == expected
 
     def test_empty_raises(self):
@@ -404,18 +405,16 @@ class TestInteriorCertificate:
     @pytest.mark.parametrize("d", [5, 6, 7])
     def test_generic_dimension_is_corank(self, no_ray_pass, d):
         H = build_H(generic_targets(d))
-        assert polytope_dimension(H) == 2**d - 1 - frac_rank(H.rows)
+        assert polytope_dimension(H) == 2**d - 1 - reference_rank(H.rows)
 
     def test_margin_only_d5(self, no_ray_pass):
         assert polytope_dimension(d5_margin_H()) == 26
 
     def test_random_d3_systems_match_oracle(self):
-        from bintab._linalg import affine_rank
-
         rng = random.Random(2718)
         for _ in range(12):
             H = build_H(random_targets(rng, 3, digits=2))
-            expected = affine_rank(sorted(brute_force_vertices(H)))
+            expected = reference_affine_rank(sorted(brute_force_vertices(H)))
             # targets of a positive table: every one of these certifies
             assert 7 - geometry._interior_rank(H) == polytope_dimension(H) == expected
 

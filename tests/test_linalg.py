@@ -1,34 +1,37 @@
-"""Unit checks for the exact linear algebra helpers."""
+"""Unit checks for the exact linear algebra helpers, against the conftest oracles."""
 
+import ast
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bintab._linalg import affine_rank, frac_nullspace, frac_rank, frac_rref, frac_solve, int_rank
-from conftest import reference_rref
+import bintab
+from bintab._linalg import _int_rref, frac_nullspace, frac_solve
+from conftest import _gauss_solve, reference_nullspace, reference_rank, reference_rref
 
 F = Fraction
 
 
-def test_int_rank_matches_rational_rank_on_random_matrices():
+def test_rank_matches_gauss_rank_on_random_matrices():
     rng = random.Random(8128)
+    matrices = []
     for _ in range(300):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 8)
-        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        assert int_rank(m) == frac_rank([[F(v) for v in row] for row in m])
-
-
-def test_int_rank_with_zero_pivot_column_rows():
-    # regression: rows with a zero in the pivot column must still be rescaled
-    m = [
+        matrices.append([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    # rows with a zero in the pivot column
+    matrices.append([
         [2, 3, 5, 7],
         [0, 4, 6, 10],
         [2, 7, 11, 17],
-    ]
-    assert int_rank(m) == frac_rank([[F(v) for v in row] for row in m]) == 2
+    ])
+    for m in matrices:
+        assert len(_int_rref(m)[1]) == reference_rank(m)
+    assert reference_rank(matrices[-1]) == 2
 
 
 def test_nullspace_vectors_annihilate_rows():
@@ -36,7 +39,7 @@ def test_nullspace_vectors_annihilate_rows():
     for _ in range(50):
         rows = [[F(rng.randint(-5, 5)) for _ in range(6)] for _ in range(3)]
         basis = frac_nullspace(rows, 6)
-        assert len(basis) == 6 - frac_rank(rows)
+        assert len(basis) == 6 - reference_rank(rows)
         for vec in basis:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
@@ -47,12 +50,9 @@ def test_solve_consistency_and_inconsistency():
     solution, nullity = frac_solve(rows, [F(3), F(1)])
     assert solution == (F(2), F(1)) and nullity == 0
     assert frac_solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
-
-
-def test_affine_rank():
-    pts = [(F(0), F(0)), (F(1), F(1)), (F(2), F(2))]
-    assert affine_rank(pts) == 1
-    assert affine_rank([(F(1), F(2))]) == 0
+    # a zero row with a nonzero right-hand side, and no rows at all
+    assert frac_solve([[F(0), F(0)], [F(1), F(2)]], [F(1), F(0)]) is None
+    assert frac_solve([], []) == ((), 0)
 
 
 # sparse small rationals: most entries 0, so zero rows and zero columns are common
@@ -83,14 +83,54 @@ def rational_matrices(draw):
 @settings(max_examples=400, deadline=None)
 @given(rational_matrices())
 def test_frac_rref_matches_rational_gauss_jordan(m):
-    rows, pivots = frac_rref(m)
+    rows, pivots = _int_rref(m)
     expected_rows, expected_pivots = reference_rref(m)
     assert pivots == expected_pivots
-    assert rows == expected_rows
-    assert all(type(v) is Fraction for row in rows for v in row)
+    assert len(rows) == len(expected_rows)
+    # primitive integer rows: each pivot row over its pivot entry is the rational RREF row
+    assert all(type(v) is int for row in rows for v in row)
+    assert all(math.gcd(*row) in (0, 1) for row in rows)
+    for i, row in enumerate(rows):
+        if i < len(pivots):
+            assert [F(v, row[pivots[i]]) for v in row] == expected_rows[i]
+        else:
+            assert not any(row) and not any(expected_rows[i])
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_matrices(), st.data())
+def test_frac_solve_and_nullspace_match_oracles(m, data):
+    # the rank-deficient rows make many of these right-hand sides inconsistent
+    rhs = data.draw(st.lists(_entries, min_size=len(m), max_size=len(m)))
+    expected = _gauss_solve(m, rhs)
+    solved = frac_solve(m, rhs)
+    if expected is None:
+        assert solved is None
+    else:
+        assert solved == (tuple(expected[0]), expected[1])
+    ncols = len(m[0]) if m else data.draw(st.integers(0, 8))
+    assert frac_nullspace(m, ncols) == reference_nullspace(m, ncols)
 
 
 def test_frac_rref_accepts_int_rows_and_keeps_zero_rows():
-    rows, pivots = frac_rref([[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 0, 5]])
+    rows, pivots = _int_rref([[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 0, 5]])
     assert pivots == [0, 2]
     assert rows == [[1, 2, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]]
+
+
+def test_every_linalg_function_has_a_caller_in_the_package():
+    # exact-algebra helpers that only tests call are expected values computed by package code
+    src = Path(bintab.__file__).parent
+    defined = {
+        node.name
+        for node in ast.parse((src / "_linalg.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    imported = set()
+    for path in src.glob("*.py"):
+        if path.name == "_linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("_linalg", "bintab._linalg"):
+                imported.update(alias.name for alias in node.names)
+    assert defined and not defined - imported, f"no caller in src/bintab: {sorted(defined - imported)}"
