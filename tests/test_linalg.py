@@ -16,22 +16,23 @@ from conftest import _gauss_solve, reference_nullspace, reference_rank, referenc
 F = Fraction
 
 
-def test_rank_matches_gauss_rank_on_random_matrices():
+def test_int_rank_matches_rational_rank_on_random_matrices():
     rng = random.Random(8128)
-    matrices = []
     for _ in range(300):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 8)
-        matrices.append([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
-    # rows with a zero in the pivot column
-    matrices.append([
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        assert len(_int_rref(m)[1]) == reference_rank(m)
+
+
+def test_int_rank_with_zero_pivot_column_rows():
+    # regression: rows with a zero in the pivot column must still be rescaled
+    m = [
         [2, 3, 5, 7],
         [0, 4, 6, 10],
         [2, 7, 11, 17],
-    ])
-    for m in matrices:
-        assert len(_int_rref(m)[1]) == reference_rank(m)
-    assert reference_rank(matrices[-1]) == 2
+    ]
+    assert len(_int_rref(m)[1]) == reference_rank(m) == 2
 
 
 def test_nullspace_vectors_annihilate_rows():
