@@ -11,7 +11,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .geometry import (
     MixtureWeights,
+    _relative_interior,
     _require_nonempty,
     decompose as geometry_decompose,
     enumerate_vertices,
@@ -337,16 +337,15 @@ def sample(source, method, count, seed, burn_in, thinning, digits, margins, outp
     pmf = _load_pmf(source, RATIONAL)
     tgt = targets_from_pmf(pmf, digits=digits, margins=margins)
     H = build_H(tgt)
-    V = enumerate_vertices(H)
-    _require_nonempty(V.vertices, V.empty_certificate)
     cfg = SamplerConfig(seed=seed, count=count, burn_in=burn_in, thinning=thinning)
     if method == "dirichlet":
+        V = enumerate_vertices(H)
+        _require_nonempty(V.vertices, V.empty_certificate)
         draws = sample_dirichlet(V, cfg)
     else:
-        centroid = geometry_mixture(
-            MixtureWeights(tuple(Fraction(1, len(V.vertices)) for _ in V.vertices)), V
-        )
-        draws = sample_hit_and_run(H, centroid, cfg)
+        y, _ = _relative_interior(H)
+        total = sum(y)
+        draws = sample_hit_and_run(H, Pmf(d=pmf.d, cells=tuple(v / total for v in y), mode=FLOAT), cfg)
     lines = [json.dumps({
         "method": method, "seed": seed, "count": count,
         "burn_in": burn_in, "thinning": thinning, "d": pmf.d,

@@ -56,26 +56,17 @@ Each inserted row emits one debug record on the ``bintab.geometry`` logger
 with its counts: rays in and out, candidate pairs, and pairs left after
 each filter.
 
-The affine dimension is certified first and enumerated only as a
-fallback.  The certificate is one exact full-support feasible table: a
-float least-squares projection of the uniform table onto
-``{H y = 0, sum(y) = 1}`` proposes it, its coordinates free in the
-fraction-free integer Gauss-Jordan form of H are set to positive integers
-from the proposal, and the signs of the pivot coordinates they force are
-read exactly from the integer rows.  When every coordinate is positive,
-the polytope is nonempty, its affine hull is ``{H y = 0, sum(y) = 1}``,
-and its dimension is ``2^d - 1 - rank(H)`` (the all-ones row is not in the
-row space of H, as the point has a positive sum); no rays are needed.  This
-also answers the feasibility check of IPF.  Empty and degenerate
-polytopes have no such point, and an unlucky proposal may miss one; then
-the dimension is read off the ray matrix: with S its columns that are
-nonzero in some ray, every feasible table is zero off S and the centroid
-of the vertices is positive on S, so the affine hull is
-``{x : x = 0 off S, H x = 0, sum(x) = 1}`` of dimension
-``|S| - 1 - rank(H restricted to the S columns)``.  This is exact on
-degenerate polytopes whose points all vanish on some cells.  Each
-certificate attempt emits one debug record on ``bintab.geometry`` whose
-mapping arguments are ``certified`` and ``rank``.
+Nonemptiness, the affine dimension and the hit-and-run start all come
+from one exact relative-interior point (:func:`_relative_interior`).  A
+float projection of the uniform table, made exact on the integer
+Gauss-Jordan rows of H, usually certifies a full-support feasible table;
+then the affine hull is ``{H y = 0, sum(y) = 1}`` (the all-ones row is not
+in the row space of H, as the point has a positive sum) and the dimension
+is ``2^d - 1 - rank(H)``.  Otherwise one ray pass runs: every feasible
+table is zero off S, the cells some vertex uses, and the vertex centroid
+is positive on S, so the dimension is ``|S| - 1 - rank(H on the S
+columns)``, exact on degenerate polytopes too.  Each certificate attempt
+emits one debug record whose mapping arguments are ``certified`` and ``rank``.
 
 :func:`enumerate_vertices` is the one entry point: it divides each ray by
 its coordinate sum into a vertex pmf, in one pass over the ray matrix.  One
@@ -263,34 +254,38 @@ def _extreme_rays(H: ConstraintMatrix) -> Tuple[np.ndarray, Optional[tuple]]:
     return R, None
 
 
+def _vertex_keys(R: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Exact integer rows ``ray * (L // sum(ray))``, the vertices scaled by L, the lcm of the ray sums; and L."""
+    (R,) = _exact(R.shape[1] * _max_abs(R), R)
+    sums = R.sum(axis=1)
+    # every entry >= 0 and every sum > 0: each row over its sum is a valid rational pmf
+    if not ((R >= 0).all() and (sums > 0).all()):
+        raise AssertionError("extreme ray with a negative entry or nonpositive sum; enumeration invariant broken")
+    sums = sums.tolist()
+    L = math.lcm(*sums)
+    R, scale = _exact(L, R, np.array([L // s for s in sums], dtype=object))
+    return R * scale[:, None], L
+
+
 def enumerate_vertices(H: ConstraintMatrix) -> VertexSet:
     """Extreme pmfs of the feasible polytope: each extreme ray divided by its coordinate sum."""
     if H.d < 2:
         # the vertices skip Pmf validation, which would reject this
         raise DomainError(f"dimension must be >= 2, got {H.d}")
     R, certificate = _extreme_rays(H)
-    (R,) = _exact(H.n_cols * _max_abs(R), R)
-    sums = R.sum(axis=1)
-    # every entry >= 0 and every sum > 0: each row over its sum is a valid rational pmf
-    if not ((R >= 0).all() and (sums > 0).all()):
-        raise AssertionError("extreme ray with a negative entry or nonpositive sum; enumeration invariant broken")
-    sums = sums.tolist()
-    # ray * (L // s) is the vertex ray / s scaled by L: exact integer keys in the order of the cells,
-    # each at most L because 0 <= entry <= s
-    L = math.lcm(*sums)
-    R, scale = _exact(L, R, np.array([L // s for s in sums], dtype=object))
-    keys = sorted((R * scale[:, None]).tolist(), reverse=True)
+    keys, L = _vertex_keys(R)
     del R  # the keys carry everything the vertices need; free the rays before building them
+    keys = sorted(keys.tolist(), reverse=True)
     # one Fraction per distinct cell value: most cells of a vertex are 0
     fraction = {k: Fraction(k, L) for k in set().union(*keys)}
     vertices = tuple(Pmf._valid_rational(H.d, tuple(map(fraction.__getitem__, key))) for key in keys)
     return VertexSet(vertices=vertices, constraints=H, empty_certificate=certificate)
 
 
-def _require_nonempty(found: Sequence, certificate, message: str = "the feasible polytope is empty"):
+def _require_nonempty(found: Sequence, certificate):
     """Raise :class:`EmptyFeasibleSetError` with ``certificate`` when nothing was found."""
     if not len(found):
-        raise EmptyFeasibleSetError(message, certificate=certificate)
+        raise EmptyFeasibleSetError("the feasible polytope is empty", certificate=certificate)
 
 
 def _support_dimension(H: ConstraintMatrix, cols: Sequence[int]) -> int:
@@ -299,64 +294,68 @@ def _support_dimension(H: ConstraintMatrix, cols: Sequence[int]) -> int:
     return len(cols) - 1 - len(pivots)
 
 
-def _uniform_projection(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
+def _uniform_projection(rows: Sequence[Sequence], n: int) -> np.ndarray:
     """Float least-squares projection of the uniform table onto ``{y : rows y = 0, sum(y) = 1}``."""
-    # each row over its largest magnitude: the same kernel, and floats in [-1, 1] for integers of any size
-    scales = [max(map(abs, row)) or 1 for row in rows]
-    A = np.array([[v / s for v in row] for row, s in zip(rows, scales)] + [[1.0] * n])
+    A = np.array([[v.numerator / v.denominator for v in row] for row in rows] + [[1.0] * n])
     u = np.full(n, 1.0 / n)
     b = np.zeros(len(A))
     b[-1] = 1.0
     return u + np.linalg.lstsq(A, b - A @ u, rcond=None)[0]
 
 
-def _interior_rank(H: ConstraintMatrix) -> Optional[int]:
-    """``rank(H)`` when an exact full-support feasible table certifies it, else None.
+def _relative_interior(H: ConstraintMatrix) -> Tuple[Tuple[int, ...], int]:
+    """An exact relative-interior point of the feasible polytope, and its affine dimension.
 
-    A float proposal (:func:`_uniform_projection`) sets the free
-    coordinates of the integer Gauss-Jordan form of H to integers (its
-    values times 2^62, truncated); each pivot coordinate is then the exact
-    rational that its row forces.  When every coordinate is positive, that
-    rational point lies in the cone with full support, which proves the
-    polytope nonempty of dimension ``2^d - 1 - rank(H)``.  None means only
-    that this proposal certified nothing: the polytope may be empty,
-    degenerate, or the proposal unlucky.
+    ``y`` is a nonnegative integer vector with ``H y = 0``, positive on
+    every cell some feasible table uses.  A float proposal
+    (:func:`_uniform_projection`) sets the free coordinates of the integer
+    Gauss-Jordan form of H to integers (its values times 2^62, truncated);
+    each pivot coordinate is the rational its row forces, and ``y`` is that
+    point times the lcm of the pivot entries.  When every coordinate is
+    positive, ``y`` proves the dimension ``2^d - 1 - rank(H)``.  Otherwise
+    one ray pass runs: ``y`` is the sum of the vertices scaled by the lcm
+    of the ray sums (the centroid, up to scale), and the dimension is
+    :func:`_support_dimension` of its support.  An empty polytope raises
+    :class:`EmptyFeasibleSetError` with the row that emptied the cone.
     """
-    rows = _integer_rows(H.rows)
-    m, pivots = _int_rref(rows)
+    m, pivots = _int_rref(H.rows)
     free = sorted(set(range(H.n_cols)) - set(pivots))
-    y = [int(v * 2.0**62) for v in _uniform_projection(rows, H.n_cols)[free].tolist()]
+    proposal = [int(v * 2.0**62) for v in _uniform_projection(H.rows, H.n_cols)[free].tolist()]
+    dots = [sum(row[c] * v for c, v in zip(free, proposal)) for row in m[: len(pivots)]]
     # pivot coordinate = -(row . y) / row[pivot]: positive iff the dot product and the pivot differ in sign
-    certified = all(v > 0 for v in y) and all(
-        sum(row[c] * v for c, v in zip(free, y)) * row[pc] < 0 for row, pc in zip(m, pivots)
-    )
+    certified = all(v > 0 for v in proposal) and all(dot * row[pc] < 0 for dot, row, pc in zip(dots, m, pivots))
     logger.debug(
         "interior point certificate: certified %(certified)s, rank %(rank)d",
         {"certified": certified, "rank": len(pivots)},
     )
-    return len(pivots) if certified else None
+    if certified:
+        scale = math.lcm(*(row[pc] for row, pc in zip(m, pivots)))
+        y = [0] * H.n_cols
+        for c, v in zip(free, proposal):
+            y[c] = v * scale
+        for dot, row, pc in zip(dots, m, pivots):
+            y[pc] = -dot * (scale // row[pc])
+        return tuple(y), H.n_cols - 1 - len(pivots)
+    R, certificate = _extreme_rays(H)
+    _require_nonempty(R, certificate)
+    keys, L = _vertex_keys(R)
+    (keys,) = _exact(len(keys) * L, keys)  # each column sums at most len(keys) entries <= L
+    y = tuple(keys.sum(axis=0).tolist())
+    return y, _support_dimension(H, [c for c, v in enumerate(y) if v])
 
 
 def polytope_dimension(H: ConstraintMatrix) -> int:
-    """Affine dimension of the feasible polytope.
+    """Affine dimension of the feasible polytope, exact even when degenerate.
 
-    Exact for every nonempty polytope, degenerate ones included.  An exact
-    full-support feasible table (:func:`_interior_rank`) proves the
-    dimension is ``2^d - 1 - rank(H)`` without enumerating; when none is
-    certified, the dimension is computed from the support of the
-    enumerated extreme rays (see the module docstring).
+    One call of :func:`_relative_interior`, which runs the ray pass only
+    when no full-support feasible table is certified.
 
     Raises
     ------
     EmptyFeasibleSetError
         If the polytope is empty.
     """
-    rank = _interior_rank(H)
-    if rank is not None:
-        return H.n_cols - 1 - rank
-    R, certificate = _extreme_rays(H)
-    _require_nonempty(R, certificate)
-    return _support_dimension(H, np.flatnonzero((R != 0).any(axis=0)).tolist())
+    return _relative_interior(H)[1]
 
 
 # ---------------------------------------------------------------------------

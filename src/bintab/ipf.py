@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import MarginTargets, build_H
-from .geometry import _extreme_rays, _interior_rank, _require_nonempty
+from .errors import DomainError
+from .geometry import _relative_interior
 from .table import FLOAT, Pmf, _bit, all_pairs
 
 DEFAULT_TOL = 1e-10
@@ -64,14 +65,14 @@ def ipf_max_entropy(
 
     Raises
     ------
+    DomainError
+        If ``max_iter < 1``.
     EmptyFeasibleSetError
-        If the targets admit no feasible table at all.  Feasibility is
-        checked exactly before iterating: by a certified full-support
-        feasible table when one is found, else by ray enumeration.
+        If the targets admit no feasible table (checked exactly first).
     """
-    H = build_H(targets)
-    if _interior_rank(H) is None:
-        _require_nonempty(*_extreme_rays(H), "targets admit no feasible table")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    _relative_interior(build_H(targets))
 
     d = targets.d
     n = 2**d
@@ -82,7 +83,6 @@ def ipf_max_entropy(
     }
 
     x = np.full(n, 1.0 / n)
-    deviation = np.inf
     sweeps = 0
     while sweeps < max_iter:
         for pair, pair_blocks_list in blocks.items():

@@ -27,7 +27,6 @@ from bintab import (
     top_order_odds_ratio,
 )
 from bintab import geometry
-from bintab import ipf as ipf_module
 from bintab.geometry import _extreme_rays
 from conftest import (
     EXAMPLE1_VERTEX_A,
@@ -379,8 +378,8 @@ def no_ray_pass(monkeypatch):
     def forbidden(H):
         raise AssertionError("ray pass run")
 
-    for module in (geometry, ipf_module):
-        monkeypatch.setattr(module, "_extreme_rays", forbidden)
+    # every ray pass goes through geometry: ipf holds no reference to it
+    monkeypatch.setattr(geometry, "_extreme_rays", forbidden)
 
 
 def generic_targets(d):
@@ -410,13 +409,15 @@ class TestInteriorCertificate:
     def test_margin_only_d5(self, no_ray_pass):
         assert polytope_dimension(d5_margin_H()) == 26
 
-    def test_random_d3_systems_match_oracle(self):
+    def test_random_d3_systems_match_oracle(self, no_ray_pass):
         rng = random.Random(2718)
         for _ in range(12):
             H = build_H(random_targets(rng, 3, digits=2))
             expected = reference_affine_rank(sorted(brute_force_vertices(H)))
             # targets of a positive table: every one of these certifies
-            assert 7 - geometry._interior_rank(H) == polytope_dimension(H) == expected
+            y, dimension = geometry._relative_interior(H)
+            assert all(v > 0 for v in y)
+            assert 7 - reference_rank(H.rows) == dimension == polytope_dimension(H) == expected
 
     def test_nonpositive_proposal_falls_back(self, water, example1, monkeypatch):
         calls = []
@@ -426,8 +427,7 @@ class TestInteriorCertificate:
             calls.append(H)
             return original(H)
 
-        for module in (geometry, ipf_module):
-            monkeypatch.setattr(module, "_extreme_rays", counting)
+        monkeypatch.setattr(geometry, "_extreme_rays", counting)
         monkeypatch.setattr(geometry, "_uniform_projection", lambda rows, n: np.full(n, -1.0 / n))
         cases = [
             (targets_from_pmf(water, digits=3), 5),
@@ -435,16 +435,46 @@ class TestInteriorCertificate:
             (DEGENERATE_D3, 0),
         ]
         for targets, dimension in cases:
-            assert geometry._interior_rank(build_H(targets)) is None
+            assert geometry._relative_interior(build_H(targets))[1] == dimension
             assert polytope_dimension(build_H(targets)) == dimension
-        assert len(calls) == len(cases)
+        # one ray pass per call: none of them certified
+        assert len(calls) == 2 * len(cases)
         assert ipf_max_entropy(cases[1][0]).converged
-        assert len(calls) == len(cases) + 1
+        assert len(calls) == 2 * len(cases) + 1
         empty = MarginTargets.uniform(3, {(1, 2): F(1, 10), (1, 3): F(1, 10), (2, 3): F(1, 10)})
         for query in (lambda: polytope_dimension(build_H(empty)), lambda: ipf_max_entropy(empty)):
             with pytest.raises(EmptyFeasibleSetError) as excinfo:
                 query()
             assert excinfo.value.certificate is not None
+
+    @pytest.mark.parametrize("system", ["water", "example1", "raters", "generic_d5", "generic_d6", "generic_d7"])
+    def test_certified_start_is_exactly_feasible(self, request, no_ray_pass, system):
+        if system.startswith("generic_d"):
+            targets = generic_targets(int(system[-1]))
+        else:
+            targets = targets_from_pmf(request.getfixturevalue(system), digits=3)
+        H = build_H(targets)
+        y, dimension = geometry._relative_interior(H)
+        assert all(isinstance(v, int) and v > 0 for v in y)
+        assert all(sum(h * v for h, v in zip(row, y)) == 0 for row in H.rows)
+        assert dimension == H.n_cols - 1 - reference_rank(H.rows)
+
+    @pytest.mark.parametrize(
+        "system, digits",
+        [("degenerate_d3", None), ("water", 3), ("water", 20)],
+    )
+    def test_fallback_start_is_vertex_centroid(self, request, monkeypatch, system, digits):
+        if system == "degenerate_d3":
+            targets = DEGENERATE_D3
+        else:
+            # a non-positive proposal certifies nothing; digits 20 runs the Python-int ray path
+            monkeypatch.setattr(geometry, "_uniform_projection", lambda rows, n: np.full(n, -1.0 / n))
+            targets = targets_from_pmf(request.getfixturevalue(system), digits=digits)
+        H = build_H(targets)
+        y, _ = geometry._relative_interior(H)
+        V = enumerate_vertices(H)
+        centroid = mixture(MixtureWeights(tuple(F(1, len(V)) for _ in V.vertices)), V)
+        assert tuple(F(v, sum(y)) for v in y) == centroid.cells
 
     def test_one_record_per_attempt(self, water, caplog):
         with caplog.at_level(logging.DEBUG, logger="bintab.geometry"):

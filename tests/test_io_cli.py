@@ -245,11 +245,19 @@ class TestCliVertices:
         assert "n = 96 extreme pmfs" in result.output
         assert "dimension 5" in result.output
 
-    @pytest.mark.parametrize("command", ["vertices", "sample", "ipf"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            pytest.param(["vertices"], id="vertices"),
+            pytest.param(["sample"], id="sample"),
+            pytest.param(["ipf"], id="ipf"),
+            pytest.param(["sample", "--method", "hitrun"], id="sample-hitrun"),
+        ],
+    )
     def test_empty_polytope_exit_code(self, runner, tmp_path, command):
         table = tmp_path / "infeasible.json"
         table.write_text(json.dumps(INFEASIBLE_TABLE))
-        result = runner.invoke(main, [command, str(table)])
+        result = runner.invoke(main, [*command, str(table)])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
@@ -257,10 +265,17 @@ class TestCliVertices:
         [
             pytest.param(["vertices", "builtin:water", "--digits", "3"], "dimension 5", 1, id="vertices"),
             pytest.param(
+                ["sample", "builtin:water", "--digits", "3", "--count", "2"],
+                '"method": "dirichlet"',
+                1,
+                id="sample-dirichlet",
+            ),
+            # the walk starts at the certified interior point
+            pytest.param(
                 ["sample", "builtin:water", "--digits", "3", "--method", "hitrun",
                  "--count", "2", "--burn-in", "5", "--thinning", "1"],
                 '"method": "hitrun"',
-                1,
+                0,
                 id="sample-hitrun",
             ),
             # the feasibility check is an exact interior-point certificate, not a ray pass
@@ -287,6 +302,24 @@ class TestCliVertices:
         assert result.exit_code == 0
         assert expected in result.output
         assert len(calls) == passes
+
+    def test_hitrun_generic_d5_runs_no_ray_pass(self, runner, tmp_path, monkeypatch):
+        import bintab.geometry
+
+        def forbidden(H):
+            raise AssertionError("ray pass run")
+
+        monkeypatch.setattr(bintab.geometry, "_extreme_rays", forbidden)
+        table = tmp_path / "d5.json"
+        # a generic positive d=5 table: its vertex list is out of reach of the ray pass
+        table.write_text(json.dumps({"d": 5, "kind": "counts", "cells": [(7 * k) % 19 + 1 for k in range(32)]}))
+        result = runner.invoke(
+            main, ["sample", str(table), "--method", "hitrun", "--digits", "2", "--count", "3"]
+        )
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 4
+        assert all(len(json.loads(line)["cells"]) == 32 for line in lines[1:])
 
     def test_unsupported_targets_exit_code(self, runner, tmp_path):
         table = tmp_path / "degenerate.json"
@@ -412,6 +445,12 @@ class TestCliPipelines:
         table.write_text(json.dumps(INFEASIBLE_TABLE))
         result = runner.invoke(main, ["ipf", str(table)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_ipf_rejects_max_iter_below_one(self, runner, max_iter):
+        result = runner.invoke(main, ["ipf", "builtin:water", "--json", "--max-iter", max_iter])
+        assert result.exit_code == 4
+        assert "error: max_iter must be >= 1" in result.output
 
     def test_sample_deterministic_bytes(self, runner, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

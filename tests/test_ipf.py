@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bintab import (
+    DomainError,
     EmptyFeasibleSetError,
     MarginTargets,
     build_H,
@@ -43,6 +44,11 @@ class TestConvergence:
         report = ipf_max_entropy(targets_from_pmf(example1, digits=3), tol=1e-15, max_iter=1)
         assert not report.converged
         assert report.iterations == 1
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, example1, max_iter):
+        with pytest.raises(DomainError):
+            ipf_max_entropy(targets_from_pmf(example1, digits=3), max_iter=max_iter)
 
     def test_infeasible_targets_signal(self):
         targets = MarginTargets.uniform(
