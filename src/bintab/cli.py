@@ -120,10 +120,6 @@ _margins_option = click.option(
     "--margins", type=click.Choice([UNIFORM, OBSERVED]), default=UNIFORM, show_default=True,
     help="Target the uniform margins or the table's observed margins.",
 )
-_precision_option = click.option(
-    "--precision-mode", type=click.Choice([RATIONAL, FLOAT]), default=RATIONAL,
-    show_default=True, help="Arithmetic mode for table statistics.",
-)
 
 
 @click.group()
@@ -135,7 +131,10 @@ def main():
 @main.command()
 @_input_argument
 @_json_flag
-@_precision_option
+@click.option(
+    "--precision-mode", type=click.Choice([RATIONAL, FLOAT]), default=RATIONAL,
+    show_default=True, help="Arithmetic mode for table statistics.",
+)
 @_exit_on_errors
 def analyze(source, as_json, precision_mode):
     """Margins, correlations, and all odds-ratio flavors of a table."""
@@ -229,12 +228,9 @@ def constraints(source, as_json, digits, margins):
 @_digits_option
 @_margins_option
 @click.option("--output", "-o", type=click.Path(dir_okay=False), help="Write the vertex set JSON here.")
-@_precision_option
 @_exit_on_errors
-def vertices(source, as_json, digits, margins, output, precision_mode):
+def vertices(source, as_json, digits, margins, output):
     """Enumerate the extreme pmfs of the feasible polytope."""
-    if precision_mode != RATIONAL:
-        raise DomainError("vertex enumeration runs in exact rational arithmetic only")
     pmf = _load_pmf(source, RATIONAL)
     tgt = targets_from_pmf(pmf, digits=digits, margins=margins)
     H = build_H(tgt)
@@ -300,11 +296,10 @@ def decompose(vertex_file, source, tol):
 )
 @click.option("--eps", default=DEFAULT_EPS, show_default=True, help="Smoothing added to each cell before logs.")
 @_json_flag
-@_precision_option
 @_exit_on_errors
-def loglinear(source, parametrization, eps, as_json, precision_mode):
+def loglinear(source, parametrization, eps, as_json):
     """Saturated log-linear coefficients of a table."""
-    pmf = _load_pmf(source, precision_mode)
+    pmf = _load_pmf(source, RATIONAL)
     params = (
         zero_mean_params(pmf, eps=eps)
         if parametrization == ZERO_MEAN

@@ -36,7 +36,7 @@ from .errors import (
     InfeasibleTargetsError,
     UnsupportedTargetError,
 )
-from .table import FLOAT, RATIONAL, Pmf, Scalar, _bit, all_pairs, marginal_odds_ratio, univariate_margin
+from .table import FLOAT, RATIONAL, Pmf, Scalar, _bit, _exact_sqrt, all_pairs, marginal_odds_ratio, univariate_margin
 
 #: Default decimal precision at which moment targets are rationalized.
 DEFAULT_DIGITS = 6
@@ -76,7 +76,8 @@ def moment_from_odds_ratio(omega, digits: int = DEFAULT_DIGITS) -> Fraction:
         raise DomainError(f"odds ratio must be finite and positive, got {omega}")
     with localcontext() as ctx:
         ctx.prec = max(digits + 20, 40)
-        root = (Decimal(omega.numerator) / Decimal(omega.denominator)).sqrt()
+        # a rational root stays an exact Fraction, so a half-way root rounds up
+        root = _exact_sqrt(omega) or (Decimal(omega.numerator) / Decimal(omega.denominator)).sqrt()
         mu = root / (2 * (root + 1))
     return round_to_digits(mu, digits)
 
@@ -94,6 +95,8 @@ def moment_for_margins(omega, mi1, mj1, digits: int = DEFAULT_DIGITS) -> Fractio
     the independence product a*b.  The root is rounded to ``digits`` and
     kept in the Frechet interval: a rounded value past a bound becomes that
     bound, so the targets of any table with these margins stay admissible.
+    A rational root (the discriminant is a rational square) is rounded
+    exactly, so a root half-way between two decimals rounds up.
     """
     if isinstance(omega, float) and (math.isnan(omega) or math.isinf(omega)):
         raise DomainError(f"odds ratio must be finite and positive, got {omega}")
@@ -113,14 +116,15 @@ def moment_for_margins(omega, mi1, mj1, digits: int = DEFAULT_DIGITS) -> Fractio
     qb = -(omega * (a + b) + 1 - a - b)
     qc = omega * a * b
     disc = qb * qb - 4 * qa * qc
+    # a rational root is solved in Fractions, so a half-way root rounds up; an irrational one in Decimal
+    sq = _exact_sqrt(disc)
+    num = Fraction if sq is not None else (lambda q: Decimal(q.numerator) / Decimal(q.denominator))
     with localcontext() as ctx:
         ctx.prec = max(digits + 20, 50)
-        sq = (Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt()
-        qaf = Decimal(qa.numerator) / Decimal(qa.denominator)
-        qbf = Decimal(qb.numerator) / Decimal(qb.denominator)
-        roots = [(-qbf + sq) / (2 * qaf), (-qbf - sq) / (2 * qaf)]
-        inside = [r for r in roots if Decimal(lo.numerator) / Decimal(lo.denominator) <= r
-                  <= Decimal(hi.numerator) / Decimal(hi.denominator)]
+        if sq is None:
+            sq = num(disc).sqrt()
+        roots = [(-num(qb) + sq) / (2 * num(qa)), (-num(qb) - sq) / (2 * num(qa))]
+        inside = [r for r in roots if num(lo) <= r <= num(hi)]
     if not inside:
         raise DomainError(f"no admissible moment for omega={omega} with margins ({a}, {b})")
     return min(max(round_to_digits(min(inside), digits), lo), hi)

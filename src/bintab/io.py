@@ -66,7 +66,6 @@ class TableDocument:
     cells: Tuple[Fraction, ...]
     kind: str
     labels: Optional[Tuple[str, ...]] = None
-    source_format: str = "json"
 
     def to_pmf(self) -> Pmf:
         """Normalize the document to an exact rational pmf."""
@@ -76,7 +75,7 @@ class TableDocument:
         return Pmf.from_cells([c / total for c in self.cells], mode=RATIONAL)
 
 
-def _validate_cells(cells, kind, labels, d_hint=None, fmt="json") -> TableDocument:
+def _validate_cells(cells, kind, labels, d_hint=None) -> TableDocument:
     n = len(cells)
     d = n.bit_length() - 1
     if n < 4 or 2**d != n:
@@ -101,7 +100,7 @@ def _validate_cells(cells, kind, labels, d_hint=None, fmt="json") -> TableDocume
         labels = tuple(str(s) for s in labels)
         if len(labels) != d:
             raise TableParseError(f"{len(labels)} labels for {d} axes")
-    return TableDocument(d=d, cells=tuple(cells), kind=kind, labels=labels, source_format=fmt)
+    return TableDocument(d=d, cells=tuple(cells), kind=kind, labels=labels)
 
 
 def document_from_json(text: str) -> TableDocument:
@@ -113,7 +112,10 @@ def document_from_json(text: str) -> TableDocument:
         raise TableParseError("table JSON must be an object with a 'cells' array")
     cells = [parse_rational(c) for c in obj["cells"]]
     kind = obj.get("kind", COUNTS if all(c.denominator == 1 for c in cells) else PROBABILITIES)
-    return _validate_cells(cells, kind, obj.get("labels"), obj.get("d"), fmt="json")
+    labels = obj.get("labels")
+    if labels is not None:
+        labels = _array(labels, "table 'labels'")
+    return _validate_cells(cells, kind, labels, obj.get("d"))
 
 
 def document_from_csv(text: str) -> TableDocument:
@@ -146,7 +148,7 @@ def document_from_csv(text: str) -> TableDocument:
         raise TableParseError(f"missing cells {missing}", cell=missing[0])
     ordered = [cells[k] for k in range(1, 2**d + 1)]
     kind = COUNTS if all(c.denominator == 1 for c in ordered) else PROBABILITIES
-    return _validate_cells(ordered, kind, None, fmt="csv")
+    return _validate_cells(ordered, kind, None)
 
 
 def load_table(source: str) -> TableDocument:
@@ -164,9 +166,7 @@ def load_table(source: str) -> TableDocument:
             if pmf.total is not None
             else pmf.cells
         )
-        return TableDocument(
-            d=pmf.d, cells=cells, kind=kind, labels=builtin_labels(name), source_format="builtin"
-        )
+        return TableDocument(d=pmf.d, cells=cells, kind=kind, labels=builtin_labels(name))
     path = Path(source)
     if not path.exists():
         raise TableParseError(f"no such table file: {source}")

@@ -8,6 +8,12 @@ higher-order odds ratios equal one.  It is the classical maximum-entropy
 selection and serves as the single-table baseline against which the full
 feasible set is contrasted: it cannot represent any genuine higher-order
 dependence.
+
+The table is a ``(2,) * d`` array in cell order.  A pair sees it with its
+two axes in front, so block (k1, k2) is ``view[k1, k2]`` and one broadcast
+2x2 factor rescales all four blocks.  Each block sum is one 1-D sum over
+the block's cells in cell order, so the additions, and the bits of the
+fitted table, do not depend on the memory layout of the view.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from .constraints import MarginTargets, build_H
 from .errors import DomainError
 from .geometry import _relative_interior
-from .table import FLOAT, Pmf, _bit, all_pairs
+from .table import FLOAT, Pmf, all_pairs
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50_000
@@ -40,20 +46,12 @@ class IpfReport:
     converged: bool
 
 
-def _pair_blocks(d: int):
-    """Boolean index arrays for the four (k1, k2) blocks of every pair."""
-    n = 2**d
-    bits = np.array([[_bit(k, d, i) for i in range(1, d + 1)] for k in range(n)], dtype=bool)
-    blocks = {}
-    for (i, j) in all_pairs(d):
-        bi, bj = bits[:, i - 1], bits[:, j - 1]
-        blocks[(i, j)] = [
-            (~bi & ~bj, (0, 0)),
-            (~bi & bj, (0, 1)),
-            (bi & ~bj, (1, 0)),
-            (bi & bj, (1, 1)),
-        ]
-    return blocks
+def _block_sums(view: np.ndarray) -> np.ndarray:
+    """The four block sums of a pair's view, one 1-D sum per block.
+
+    A 2-D ``sum(axis=1)`` would add a strided row in another order.
+    """
+    return np.array([block.sum() for block in view.reshape(4, -1)])
 
 
 def ipf_max_entropy(
@@ -62,6 +60,11 @@ def ipf_max_entropy(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> IpfReport:
     """Fit the maximum-entropy table for the target margins and moments.
+
+    Each sweep multiplies the table, pair by pair, by the broadcast 2x2
+    factor target / block sum, and renormalizes.  A zero target empties its
+    block; a block with no mass keeps factor 1 (a positive target there
+    stalls, and the deviation check reports it).
 
     Raises
     ------
@@ -75,38 +78,25 @@ def ipf_max_entropy(
     _relative_interior(build_H(targets))
 
     d = targets.d
-    n = 2**d
-    blocks = _pair_blocks(d)
-    pair_targets = {
-        pair: dict(zip([(0, 0), (0, 1), (1, 0), (1, 1)], map(float, targets.pair_margin_table(*pair))))
-        for pair in all_pairs(d)
-    }
-
-    x = np.full(n, 1.0 / n)
+    x = np.full((2,) * d, 1.0 / 2**d)
+    # every update is in place, so each pair's view (its two axes in front) stays live
+    pairs = [
+        (np.moveaxis(x, (i - 1, j - 1), (0, 1)), np.array([float(t) for t in targets.pair_margin_table(i, j)]))
+        for (i, j) in all_pairs(d)
+    ]
+    factor_shape = (2, 2) + (1,) * (d - 2)
     sweeps = 0
     while sweeps < max_iter:
-        for pair, pair_blocks_list in blocks.items():
-            tgt = pair_targets[pair]
-            for mask, level in pair_blocks_list:
-                s = x[mask].sum()
-                t = tgt[level]
-                if t == 0.0:
-                    x[mask] = 0.0
-                elif s > 0.0:
-                    x[mask] *= t / s
-                # s == 0 with t > 0: no mass to rescale; the deviation check
-                # below reports the stall.
+        for view, target in pairs:
+            s = _block_sums(view)
+            view *= np.divide(target, s, out=np.ones(4), where=s > 0).reshape(factor_shape)
         x /= x.sum()
         sweeps += 1
-        deviation = max(
-            abs(x[mask].sum() - pair_targets[pair][level])
-            for pair, pair_blocks_list in blocks.items()
-            for mask, level in pair_blocks_list
-        )
+        deviation = max(np.abs(_block_sums(view) - target).max() for view, target in pairs)
         if deviation <= tol:
             break
 
-    table = Pmf(d=d, cells=tuple(float(v) for v in x), mode=FLOAT)
+    table = Pmf(d=d, cells=tuple(float(v) for v in x.ravel()), mode=FLOAT)
     return IpfReport(
         table=table,
         iterations=sweeps,

@@ -92,6 +92,28 @@ class TestMomentForMargins:
         # the independence product a*b = 0.9216 would round to 9/10 < 23/25
         assert moment_for_margins(1, F(24, 25), F(24, 25), 1) == F(23, 25)
 
+    @pytest.mark.parametrize(
+        "omega, a, b, digits, expected",
+        [
+            # sqrt(1/49) = 1/7: the exact root 1/16 = 0.0625 rounds half up
+            (F(1, 49), F(1, 2), F(1, 2), 3, F(63, 1000)),
+            # the exact root 1/20 = 0.05 rounds up to 1/10, not to the bound 0
+            (F(1, 81), F(1, 2), F(1, 2), 1, F(1, 10)),
+            # an irrational root, rounded on the Decimal path
+            (F(5, 21), F(1, 4), F(1, 2), 3, F(63, 1000)),
+        ],
+        ids=["root-1/16", "root-1/20", "irrational"],
+    )
+    def test_rational_root_rounds_half_up(self, omega, a, b, digits, expected):
+        assert moment_for_margins(omega, a, b, digits) == expected
+
+    def test_uniform_margins_agree_on_rational_roots(self):
+        # sqrt(1/225) = 1/15: the root 1/32 = 0.03125 rounds half up to 0.0313
+        assert moment_from_odds_ratio(F(1, 225), 4) == F(313, 10000)
+        p = Pmf.from_counts([1, 7, 7, 1])
+        for margins in ("uniform", "observed"):
+            assert targets_from_pmf(p, digits=3, margins=margins).moments == {(1, 2): F(63, 1000)}
+
 
 class TestTargetsFromPmf:
     def test_example1_uniform(self, example1):

@@ -212,6 +212,14 @@ class TestCliAnalyze:
         result = runner.invoke(main, ["analyze", str(bad)])
         assert result.exit_code == 3, result.output
 
+    @pytest.mark.parametrize("labels", [5, "ab"], ids=["number", "string"])
+    def test_non_array_labels_exit_code(self, runner, tmp_path, labels):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"cells": [1, 2, 3, 4], "labels": labels}))
+        result = runner.invoke(main, ["analyze", str(bad)])
+        assert result.exit_code == 3, result.output
+        assert "'labels' must be a JSON array" in result.output
+
     def test_missing_file_exit_code(self, runner):
         result = runner.invoke(main, ["analyze", "no/such/file.json"])
         assert result.exit_code == 3
@@ -328,10 +336,12 @@ class TestCliVertices:
         assert result.exit_code == 4
 
     def test_float_precision_mode_rejected(self, runner):
-        result = runner.invoke(
-            main, ["vertices", "builtin:example1", "--precision-mode", "float"]
-        )
-        assert result.exit_code == 4
+        # only analyze takes the flag: vertices is exact only, and loglinear prints the same bytes in either mode
+        for command in ("vertices", "loglinear"):
+            result = runner.invoke(main, [command, "builtin:example1", "--precision-mode", "float"])
+            assert result.exit_code == 2
+            assert "No such option" in result.output
+        assert runner.invoke(main, ["analyze", "builtin:example1", "--precision-mode", "float"]).exit_code == 0
 
 
 class TestCliPipelines:

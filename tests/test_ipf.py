@@ -101,3 +101,48 @@ class TestMaxEntropyStructure:
             assert univariate_margin(report.table, i)[1] == pytest.approx(float(m), abs=1e-10)
         for pair, mu in targets.moments.items():
             assert second_order_moment(report.table, *pair) == pytest.approx(float(mu), abs=1e-10)
+
+
+HALF, QUARTER, EIGHTH = F(1, 2), F(1, 4), F(1, 8)
+
+
+class TestFrechetBoundary:
+    """Targets on a Frechet bound: zero 2x2 targets empty their blocks in the first sweep."""
+
+    @pytest.mark.parametrize(
+        "targets, cells",
+        [
+            # mu12 = 1/2 forces X1 = X2
+            (
+                MarginTargets.uniform(3, {(1, 2): HALF, (1, 3): QUARTER, (2, 3): QUARTER}),
+                (QUARTER, QUARTER, 0, 0, 0, 0, QUARTER, QUARTER),
+            ),
+            # mu12 = 0 forces X1 = 1 - X2
+            (
+                MarginTargets.uniform(3, {(1, 2): F(0), (1, 3): QUARTER, (2, 3): QUARTER}),
+                (0, 0, QUARTER, QUARTER, QUARTER, QUARTER, 0, 0),
+            ),
+            # X1 = X2 = X3: the pair (2, 3) meets blocks with no mass and a zero target
+            (
+                MarginTargets.uniform(3, {(1, 2): HALF, (1, 3): HALF, (2, 3): HALF}),
+                (HALF, 0, 0, 0, 0, 0, 0, HALF),
+            ),
+            # observed margins (1/4, 1/2, 1/2) with mu12 = min(m1, m2): X1 = 1 implies X2 = 1
+            (
+                MarginTargets(
+                    d=3,
+                    univariate=(QUARTER, HALF, HALF),
+                    moments={(1, 2): QUARTER, (1, 3): EIGHTH, (2, 3): QUARTER},
+                ),
+                (QUARTER, QUARTER, EIGHTH, EIGHTH, 0, 0, EIGHTH, EIGHTH),
+            ),
+        ],
+        ids=["mu12-half", "mu12-zero", "all-equal", "observed-upper-bound"],
+    )
+    def test_converges_in_one_sweep_to_exact_table(self, targets, cells):
+        report = ipf_max_entropy(targets)
+        assert report.converged
+        assert report.iterations == 1
+        assert report.final_residual == 0.0
+        assert report.table.cells == tuple(float(c) for c in cells)
+        assert max(abs(r) for r in residual(build_H(targets), report.table)) == 0
