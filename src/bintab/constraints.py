@@ -5,7 +5,10 @@ second-order moments mu_ij = P(X_i=1, X_j=1).  Targets derived from odds
 ratios are irrational in general, so they are rounded to a caller-chosen
 number of decimal digits and stored as exact rationals; exact enumeration
 downstream needs rational data, and reproducing published 3-digit examples
-needs ``digits=3``.
+needs ``digits=3``.  One solver, :func:`moment_for_margins`, serves both
+margin modes (uniform margins are margins 1/2); it rounds each root half up
+exactly, in integer arithmetic, so a target is the correctly rounded root
+however close the root lies to a tie.
 
 The homogeneous constraint matrix H couples a cell vector p to the targets:
 
@@ -26,9 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, ROUND_HALF_UP, localcontext
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -36,7 +38,7 @@ from .errors import (
     InfeasibleTargetsError,
     UnsupportedTargetError,
 )
-from .table import FLOAT, RATIONAL, Pmf, Scalar, _bit, _exact_sqrt, all_pairs, marginal_odds_ratio, univariate_margin
+from .table import FLOAT, RATIONAL, Pmf, Scalar, _bit, all_pairs, marginal_odds_ratio, univariate_margin
 
 #: Default decimal precision at which moment targets are rationalized.
 DEFAULT_DIGITS = 6
@@ -47,39 +49,15 @@ OBSERVED = "observed"
 Pair = Tuple[int, int]
 
 
-def round_to_digits(value: Union[Fraction, float, Decimal], digits: int) -> Fraction:
-    """Round to ``digits`` decimal places (half away from zero), exactly."""
-    if digits < 0:
-        raise DomainError(f"digits must be >= 0, got {digits}")
-    with localcontext() as ctx:
-        ctx.prec = max(digits + 20, 40)
-        if isinstance(value, Fraction):
-            dec = Decimal(value.numerator) / Decimal(value.denominator)
-        else:
-            dec = Decimal(value)
-        quantum = Decimal(1).scaleb(-digits)
-        dec = dec.quantize(quantum, rounding=ROUND_HALF_UP)
-    return Fraction(dec)
-
-
 def moment_from_odds_ratio(omega, digits: int = DEFAULT_DIGITS) -> Fraction:
     """Second-order moment of the uniform-margin 2x2 table with odds ratio omega.
 
-    Solves ``omega = mu^2 / (1/2 - mu)^2`` for the root in (0, 1/2):
-    ``mu = sqrt(omega) / (2 (sqrt(omega) + 1))``, rounded to ``digits``
-    decimals and returned as an exact rational.
+    The root in (0, 1/2) of ``omega = mu^2 / (1/2 - mu)^2``, that is
+    ``mu = sqrt(omega) / (2 (sqrt(omega) + 1))``, rounded half up to
+    ``digits`` decimals as an exact rational: :func:`moment_for_margins`
+    with both margins 1/2.
     """
-    if isinstance(omega, float) and (math.isnan(omega) or math.isinf(omega)):
-        raise DomainError(f"odds ratio must be finite and positive, got {omega}")
-    omega = Fraction(omega)
-    if omega <= 0:
-        raise DomainError(f"odds ratio must be finite and positive, got {omega}")
-    with localcontext() as ctx:
-        ctx.prec = max(digits + 20, 40)
-        # a rational root stays an exact Fraction, so a half-way root rounds up
-        root = _exact_sqrt(omega) or (Decimal(omega.numerator) / Decimal(omega.denominator)).sqrt()
-        mu = root / (2 * (root + 1))
-    return round_to_digits(mu, digits)
+    return moment_for_margins(omega, Fraction(1, 2), Fraction(1, 2), digits)
 
 
 def moment_for_margins(omega, mi1, mj1, digits: int = DEFAULT_DIGITS) -> Fraction:
@@ -88,46 +66,67 @@ def moment_for_margins(omega, mi1, mj1, digits: int = DEFAULT_DIGITS) -> Fractio
     With margins a = P(X_i=1), b = P(X_j=1) fixed, the 2x2 table is a
     function of mu alone and its odds ratio equals omega iff
 
-        (omega - 1) mu^2 - (omega (a + b) + 1 - a - b) mu + omega a b = 0.
+        f(mu) = (omega - 1) mu^2 - (omega (a + b) + 1 - a - b) mu + omega a b = 0.
 
-    Exactly one root lies in the Frechet interval
-    [max(0, a+b-1), min(a, b)] for omega != 1; for omega = 1 the moment is
-    the independence product a*b.  The root is rounded to ``digits`` and
-    kept in the Frechet interval: a rounded value past a bound becomes that
-    bound, so the targets of any table with these margins stay admissible.
-    A rational root (the discriminant is a rational square) is rounded
-    exactly, so a root half-way between two decimals rounds up.
+    f = omega*m01*m10 - m11*m00 falls strictly from f(lo) > 0 to f(hi) < 0 on
+    the Frechet interval [lo, hi] = [max(0, a+b-1), min(a, b)], so exactly one
+    root lies in it (the product a*b when omega = 1).  The root is rounded
+    half up to ``digits`` decimals exactly, in integers: an ``isqrt``
+    estimate is settled by the sign of f at the half-way points.  A rounded
+    value past a bound becomes that bound, so the targets of any table with
+    these margins stay admissible.
     """
+    if digits < 0:
+        raise DomainError(f"digits must be >= 0, got {digits}")
     if isinstance(omega, float) and (math.isnan(omega) or math.isinf(omega)):
         raise DomainError(f"odds ratio must be finite and positive, got {omega}")
-    omega = Fraction(omega)
-    if omega <= 0:
+    omega, a, b = Fraction(omega), Fraction(mi1), Fraction(mj1)
+    # omega = p/q, a = a1/a0, b = b1/b0 in lowest terms, so q, a0, b0 > 0
+    p, q = omega.numerator, omega.denominator
+    a1, a0, b1, b0 = a.numerator, a.denominator, b.numerator, b.denominator
+    if p <= 0:
         raise DomainError(f"odds ratio must be finite and positive, got {omega}")
-    a, b = Fraction(mi1), Fraction(mj1)
-    if not (0 < a < 1 and 0 < b < 1):
+    if not (0 < a1 < a0 and 0 < b1 < b0):
         raise DomainError("margins must lie strictly between 0 and 1")
+    # over the common denominator den: a + b = s/den, lo = lo_n/den, hi = hi_n/den
+    den = a0 * b0
+    s = a1 * b0 + b1 * a0
+    lo_n, hi_n = max(0, s - den), min(a1 * b0, b1 * a0)
+    # den*q*f, whose coefficients are integers
+    qa = (p - q) * den
+    qb = -(p * s + q * (den - s))
+    qc = p * a1 * b1
+    # root * t for t = 2 * 10^digits from a sum of two terms of one sign, so
+    # with no cancellation; off by about a unit at most, which the loops settle
+    scale = 10**digits
+    t = 2 * scale
+    sq = math.isqrt((qb * qb - 4 * qa * qc) * t * t)
+    if qb <= 0:
+        twice = 2 * qc * t * t // (sq - qb * t)
+    else:
+        twice = (qb * t + sq) // (-2 * qa)
+    k = (twice + 1) // 2
+
+    def at_or_below_root(k):
+        # (k - 1/2) / scale = n / t: at or below lo, or at or below hi with f >= 0
+        n = 2 * k - 1
+        if n * den <= lo_n * t:
+            return True
+        if n * den > hi_n * t:
+            return False
+        return (qa * n + qb * t) * n + qc * t * t >= 0
+
+    while not at_or_below_root(k):
+        k -= 1
+    while at_or_below_root(k + 1):
+        k += 1
     # rounding can step past a bound that is not a digits-decimal; that bound is
     # then the admissible value nearest to both the rounded and the exact root
-    lo = max(Fraction(0), a + b - 1)
-    hi = min(a, b)
-    if omega == 1:
-        return min(max(round_to_digits(a * b, digits), lo), hi)
-    qa = omega - 1
-    qb = -(omega * (a + b) + 1 - a - b)
-    qc = omega * a * b
-    disc = qb * qb - 4 * qa * qc
-    # a rational root is solved in Fractions, so a half-way root rounds up; an irrational one in Decimal
-    sq = _exact_sqrt(disc)
-    num = Fraction if sq is not None else (lambda q: Decimal(q.numerator) / Decimal(q.denominator))
-    with localcontext() as ctx:
-        ctx.prec = max(digits + 20, 50)
-        if sq is None:
-            sq = num(disc).sqrt()
-        roots = [(-num(qb) + sq) / (2 * num(qa)), (-num(qb) - sq) / (2 * num(qa))]
-        inside = [r for r in roots if num(lo) <= r <= num(hi)]
-    if not inside:
-        raise DomainError(f"no admissible moment for omega={omega} with margins ({a}, {b})")
-    return min(max(round_to_digits(min(inside), digits), lo), hi)
+    if k * den < lo_n * scale:
+        return Fraction(lo_n, den)
+    if k * den > hi_n * scale:
+        return Fraction(hi_n, den)
+    return Fraction(k, scale)
 
 
 @dataclass(frozen=True)
@@ -213,16 +212,15 @@ def targets_from_pmf(p: Pmf, digits: int = DEFAULT_DIGITS, margins: str = UNIFOR
                 f"marginal odds ratio of pair ({i},{j}) is {omega}; targets require a positive ratio"
             )
         omegas[(i, j)] = omega
+    # a finite positive odds ratio needs all four cells of its 2x2 margin > 0,
+    # so the observed margins lie strictly between 0 and 1
     if margins == UNIFORM:
-        return MarginTargets.uniform(
-            q.d, {pair: moment_from_odds_ratio(om, digits) for pair, om in omegas.items()}
-        )
-    uni = tuple(univariate_margin(q, i)[1] for i in range(1, q.d + 1))
-    if any(not (0 < m < 1) for m in uni):
-        raise UnsupportedTargetError("observed-margin targets need nondegenerate margins")
+        uni = (Fraction(1, 2),) * q.d
+    else:
+        uni = tuple(univariate_margin(q, i)[1] for i in range(1, q.d + 1))
     moments = {
-        (i, j): moment_for_margins(omegas[(i, j)], uni[i - 1], uni[j - 1], digits)
-        for (i, j) in all_pairs(q.d)
+        (i, j): moment_for_margins(omega, uni[i - 1], uni[j - 1], digits)
+        for (i, j), omega in omegas.items()
     }
     return MarginTargets(d=q.d, univariate=uni, moments=moments)
 
@@ -259,11 +257,6 @@ def build_H(targets: MarginTargets) -> ConstraintMatrix:
     difference; general margins use the balanced form with weights
     ``m_i`` and ``-(1 - m_i)``.
     """
-    violation = targets.frechet_violation()
-    if violation is not None:
-        raise InfeasibleTargetsError(
-            f"moment target for pair {violation} violates the Frechet bounds", pair=violation
-        )
     d = targets.d
     n = 2**d
     rows = []

@@ -97,7 +97,7 @@ def _validate_cells(cells, kind, labels, d_hint=None) -> TableDocument:
     else:
         raise TableParseError(f"unknown table kind {kind!r}")
     if labels is not None:
-        labels = tuple(str(s) for s in labels)
+        labels = tuple(labels)
         if len(labels) != d:
             raise TableParseError(f"{len(labels)} labels for {d} axes")
     return TableDocument(d=d, cells=tuple(cells), kind=kind, labels=labels)
@@ -115,7 +115,12 @@ def document_from_json(text: str) -> TableDocument:
     labels = obj.get("labels")
     if labels is not None:
         labels = _array(labels, "table 'labels'")
-    return _validate_cells(cells, kind, labels, obj.get("d"))
+        if not all(isinstance(s, str) for s in labels):
+            raise TableParseError(f"table 'labels' must be strings, got {labels!r}")
+    d_hint = obj.get("d")
+    if d_hint is not None and type(d_hint) is not int:  # JSON true is a bool, an int subclass
+        raise TableParseError(f"table 'd' must be a JSON integer, got {d_hint!r}")
+    return _validate_cells(cells, kind, labels, d_hint)
 
 
 def document_from_csv(text: str) -> TableDocument:

@@ -180,7 +180,8 @@ class Pmf:
     @classmethod
     def from_counts(cls, counts: Sequence[int]) -> "Pmf":
         """Normalize a vector of nonnegative integer counts to a rational pmf."""
-        if any((not isinstance(c, int)) or c < 0 for c in counts):
+        # type() rather than isinstance(): True, an int subclass, is not a count
+        if any(type(c) is not int or c < 0 for c in counts):
             raise DomainError("counts must be nonnegative integers")
         total = sum(counts)
         if total == 0:

@@ -9,8 +9,10 @@ machinery, and the package's integer elimination is checked against them.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -243,3 +245,61 @@ def brute_force_vertices(H) -> set:
                 full[c] = v
             found.add(tuple(full))
     return found
+
+
+# ---------------------------------------------------------------------------
+# independent moment-target oracles
+# ---------------------------------------------------------------------------
+# They share no code with the package's solver: observed targets are each
+# table's own moments, and uniform targets come from the closed form.
+
+
+def round_half_up(value, digits) -> Fraction:
+    """A nonnegative Fraction rounded half up to ``digits`` decimals, exactly."""
+    scale = 10**digits
+    return F((2 * value.numerator * scale + value.denominator) // (2 * value.denominator), scale)
+
+
+def reference_moment_from_root(mu, a, b, digits) -> Fraction:
+    """The exact moment ``mu`` rounded half up, then clamped into [max(0, a+b-1), min(a, b)]."""
+    return min(max(round_half_up(mu, digits), max(F(0), a + b - 1)), min(a, b))
+
+
+def reference_observed_targets(cells, digits):
+    """``(univariate, moments)`` of the observed-margin targets of a table of counts or masses.
+
+    The odds ratio of a pair's 2x2 margin has exactly one root in the
+    Frechet interval of the table's own margins, and the table's own m11 is
+    it; so each target is that m11, rounded and clamped.  Cell k (from 0)
+    has alpha_i = bit d - i of k.
+    """
+    d = len(cells).bit_length() - 1
+    total = sum(cells)
+
+    def mass(*axes):
+        return F(sum(c for k, c in enumerate(cells) if all((k >> (d - i)) & 1 for i in axes)), total)
+
+    uni = tuple(mass(i) for i in range(1, d + 1))
+    moments = {
+        (i, j): reference_moment_from_root(mass(i, j), uni[i - 1], uni[j - 1], digits)
+        for i, j in combinations(range(1, d + 1), 2)
+    }
+    return uni, moments
+
+
+def reference_uniform_moment(omega, digits) -> Fraction:
+    """``sqrt(omega) / (2 (sqrt(omega) + 1))`` rounded half up to ``digits`` decimals.
+
+    The square root is exact when omega is a rational square, so a root on
+    a tie rounds up; otherwise it is taken to 1000 digits.  The result lies
+    in [0, 1/2] without clamping.
+    """
+    omega = F(omega)
+    rn, rd = isqrt(omega.numerator), isqrt(omega.denominator)
+    if rn * rn == omega.numerator and rd * rd == omega.denominator:
+        root = F(rn, rd)
+        return round_half_up(root / (2 * (root + 1)), digits)
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        root = (Decimal(omega.numerator) / Decimal(omega.denominator)).sqrt()
+        return round_half_up(F(root / (2 * (root + 1))), digits)

@@ -1,9 +1,12 @@
 """Moment conversion, target derivation, and the constraint matrix."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bintab import (
     DomainError,
@@ -12,13 +15,21 @@ from bintab import (
     Pmf,
     UnsupportedTargetError,
     build_H,
+    marginal_odds_ratio,
     moment_for_margins,
     moment_from_odds_ratio,
     residual,
     satisfies,
     targets_from_pmf,
 )
-from conftest import EXAMPLE1_VERTEX_A, random_rational_pmf, reference_rank
+from conftest import (
+    EXAMPLE1_VERTEX_A,
+    random_rational_pmf,
+    reference_moment_from_root,
+    reference_observed_targets,
+    reference_rank,
+    reference_uniform_moment,
+)
 
 F = Fraction
 
@@ -99,7 +110,7 @@ class TestMomentForMargins:
             (F(1, 49), F(1, 2), F(1, 2), 3, F(63, 1000)),
             # the exact root 1/20 = 0.05 rounds up to 1/10, not to the bound 0
             (F(1, 81), F(1, 2), F(1, 2), 1, F(1, 10)),
-            # an irrational root, rounded on the Decimal path
+            # an irrational root
             (F(5, 21), F(1, 4), F(1, 2), 3, F(63, 1000)),
         ],
         ids=["root-1/16", "root-1/20", "irrational"],
@@ -113,6 +124,80 @@ class TestMomentForMargins:
         p = Pmf.from_counts([1, 7, 7, 1])
         for margins in ("uniform", "observed"):
             assert targets_from_pmf(p, digits=3, margins=margins).moments == {(1, 2): F(63, 1000)}
+
+
+class TestMomentOracles:
+    """The solver against the independent oracles in ``conftest``."""
+
+    @pytest.mark.parametrize("digits", [0, 1, 2, 3, 6, 9, 15])
+    def test_builtins(self, example1, water, raters, digits):
+        for p in (example1, water, raters):
+            observed = targets_from_pmf(p, digits=digits, margins="observed")
+            assert (observed.univariate, observed.moments) == reference_observed_targets(p.cells, digits)
+            uniform = targets_from_pmf(p, digits=digits)
+            ratios = {pair: marginal_odds_ratio(p, *pair) for pair in uniform.moments}
+            assert uniform.moments == {
+                pair: reference_uniform_moment(omega, digits) for pair, omega in ratios.items()
+            }
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda d: st.lists(st.integers(1, 10**12), min_size=2**d, max_size=2**d)
+        ),
+        st.integers(0, 15),
+    )
+    def test_observed_targets_are_the_table_moments(self, counts, digits):
+        targets = targets_from_pmf(Pmf.from_counts(counts), digits=digits, margins="observed")
+        assert (targets.univariate, targets.moments) == reference_observed_targets(counts, digits)
+
+    def test_random_cases(self):
+        # 1000 rational roots under general margins and 1000 uniform-margin
+        # roots, a third of each with omega within 10^-70 of 1
+        rng = random.Random(1515)
+        for n in range(1000):
+            den = 10 ** rng.randint(1, 4)
+            a, b = F(rng.randint(1, den - 1), den), F(rng.randint(1, den - 1), den)
+            lo, hi = max(F(0), a + b - 1), min(a, b)
+            if n % 3 == 0:
+                mu = a * b + F(rng.randint(-10**6, 10**6), 10**81)
+            else:
+                mu = lo + (hi - lo) * F(rng.randint(1, 10**6 - 1), 10**6)
+            omega = mu * (1 - a - b + mu) / ((a - mu) * (b - mu))
+            digits = rng.choice([0, 1, 2, 3, 4, 6, 9, 15, 30])
+            assert moment_for_margins(omega, a, b, digits) == reference_moment_from_root(mu, a, b, digits)
+        for n in range(1000):
+            if n % 3 == 0:
+                omega = 1 + F(rng.randint(-10**6, 10**6), 10 ** rng.randint(76, 82))
+            else:
+                omega = F(rng.randint(1, 10**9), rng.randint(1, 10**9))
+            digits = rng.choice([0, 1, 2, 3, 4, 6, 9, 15, 30])
+            assert moment_from_odds_ratio(omega, digits) == reference_uniform_moment(omega, digits)
+
+    def test_rational_square_rounds_exactly(self):
+        # sqrt(omega) = 93/7 gives the root 93/200 = 0.465, a tie at two digits
+        assert reference_uniform_moment(F(93, 7) ** 2, 2) == F(47, 100)
+        assert moment_from_odds_ratio(F(93, 7) ** 2, 2) == F(47, 100)
+
+    @pytest.mark.parametrize(
+        "omega, a, b, digits, expected",
+        [
+            # the root is 1/4 + 6.25e-51, which a 50-digit quadratic formula loses to cancellation
+            (1 + F(1, 10**49), F(1, 2), F(1, 2), 6, F(1, 4)),
+            # here a 50-digit quadratic formula puts neither root in [0, 1/2]
+            (1 + F(7, 10**50), F(1, 2), F(1, 2), 6, F(1, 4)),
+            (1 + F(7, 10**25), F(7, 20), F(3, 5), 30, F(21000000000000000000000003822, 10**29)),
+        ],
+        ids=["near-one", "near-one-no-root", "general-margins"],
+    )
+    def test_omega_near_one(self, omega, a, b, digits, expected):
+        assert moment_for_margins(omega, a, b, digits) == expected
+
+    def test_negative_digits_rejected(self):
+        with pytest.raises(DomainError):
+            moment_for_margins(F(2), F(1, 3), F(1, 2), -1)
+        with pytest.raises(DomainError):
+            moment_from_odds_ratio(F(2), -1)
 
 
 class TestTargetsFromPmf:

@@ -224,6 +224,21 @@ class TestCliAnalyze:
         result = runner.invoke(main, ["analyze", "no/such/file.json"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("d", ["2", True], ids=["string", "bool"])
+    def test_non_integer_d_exit_code(self, runner, tmp_path, d):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"cells": [1, 2, 3, 4], "d": d}))
+        result = runner.invoke(main, ["analyze", str(bad)])
+        assert result.exit_code == 3, result.output
+        assert "'d' must be a JSON integer" in result.output
+
+    def test_non_string_labels_exit_code(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"cells": [1, 2, 3, 4], "labels": [None, {}]}))
+        result = runner.invoke(main, ["analyze", str(bad)])
+        assert result.exit_code == 3, result.output
+        assert "'labels' must be strings" in result.output
+
 
 class TestCliVertices:
     def test_example1_uniform(self, runner):
@@ -415,6 +430,18 @@ class TestCliPipelines:
         )
         result = runner.invoke(main, ["decompose", str(vertex_file), "builtin:example1"])
         assert result.exit_code == 2
+
+    def test_targets_round_a_near_tie_root_exactly(self, runner, tmp_path):
+        # omega = 1 - 10^-45 + O(10^-90): the root is 1/4 - 6.25e-47, just below the 1/4 tie
+        table = tmp_path / "near_tie.json"
+        table.write_text(json.dumps({"cells": [10**45 - 1, 10**45, 10**45, 10**45]}))
+        result = runner.invoke(main, ["targets", str(table), "--digits", "1"])
+        assert result.exit_code == 0, result.output
+        assert "mu1,2 = 1/5 (0.2)" in result.output
+
+    def test_targets_negative_digits_exit_code(self, runner):
+        result = runner.invoke(main, ["targets", "builtin:water", "--digits", "-1"])
+        assert result.exit_code == 4, result.output
 
     def test_targets_and_constraints(self, runner):
         result = runner.invoke(main, ["targets", "builtin:example1", "--digits", "3", "--json"])

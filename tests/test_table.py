@@ -96,6 +96,10 @@ class TestPmfValidation:
         assert p.total == 10
         assert p.cells == (F(1, 10), F(1, 5), F(3, 10), F(2, 5))
 
+    def test_bool_counts_rejected(self):
+        with pytest.raises(DomainError):
+            Pmf.from_counts([True, 1, 1, 1])
+
     def test_conversions_are_explicit(self):
         p = Pmf.from_counts([1, 1, 1, 1])
         q = p.to_float()
