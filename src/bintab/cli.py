@@ -20,6 +20,7 @@ from .constraints import (
     DEFAULT_DIGITS,
     OBSERVED,
     UNIFORM,
+    MarginTargets,
     build_H,
     targets_from_pmf,
 )
@@ -110,6 +111,10 @@ def _load_pmf(source: str, precision_mode: str) -> Pmf:
     return pmf.to_float() if precision_mode == FLOAT else pmf
 
 
+def _load_targets(source: str, digits: int, margins: str) -> MarginTargets:
+    return targets_from_pmf(_load_pmf(source, RATIONAL), digits=digits, margins=margins)
+
+
 _input_argument = click.argument("source", metavar="INPUT")
 _json_flag = click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text.")
 _digits_option = click.option(
@@ -191,8 +196,7 @@ def analyze(source, as_json, precision_mode):
 @_exit_on_errors
 def targets(source, as_json, digits, margins):
     """Margin/moment targets derived from a table's odds ratios."""
-    pmf = _load_pmf(source, RATIONAL)
-    tgt = targets_from_pmf(pmf, digits=digits, margins=margins)
+    tgt = _load_targets(source, digits, margins)
     if as_json:
         click.echo(json.dumps(targets_to_json_dict(tgt, digits), indent=2))
         return
@@ -211,8 +215,7 @@ def targets(source, as_json, digits, margins):
 @_exit_on_errors
 def constraints(source, as_json, digits, margins):
     """The margin/moment constraint matrix for a table's targets."""
-    pmf = _load_pmf(source, RATIONAL)
-    H = build_H(targets_from_pmf(pmf, digits=digits, margins=margins))
+    H = build_H(_load_targets(source, digits, margins))
     if as_json:
         click.echo(json.dumps(constraints_to_json_dict(H), indent=2))
         return
@@ -231,11 +234,8 @@ def constraints(source, as_json, digits, margins):
 @_exit_on_errors
 def vertices(source, as_json, digits, margins, output):
     """Enumerate the extreme pmfs of the feasible polytope."""
-    pmf = _load_pmf(source, RATIONAL)
-    tgt = targets_from_pmf(pmf, digits=digits, margins=margins)
-    H = build_H(tgt)
-    V = enumerate_vertices(H)
-    _require_nonempty(V.vertices, V.empty_certificate)
+    V = enumerate_vertices(build_H(_load_targets(source, digits, margins)))
+    _require_nonempty(V)
     dim = V.dimension
     payload = vertexset_to_json_dict(V, digits=max(digits, 6))
     payload["dimension"] = dim
@@ -244,7 +244,7 @@ def vertices(source, as_json, digits, margins, output):
     if as_json:
         click.echo(json.dumps(payload, indent=2, ensure_ascii=False))
     else:
-        click.echo(f"n = {len(V.vertices)} extreme pmfs, polytope dimension {dim}")
+        click.echo(f"n = {len(V)} extreme pmfs, polytope dimension {dim}")
         for idx, v in enumerate(V.vertices, start=1):
             click.echo(f"  r{idx}: " + " ".join(_fmt(float(c), max(3, digits)) for c in v.cells))
         if output:
@@ -329,21 +329,19 @@ def loglinear(source, parametrization, eps, as_json):
 @_exit_on_errors
 def sample(source, method, count, seed, burn_in, thinning, digits, margins, output):
     """Draw feasible pmfs (JSON-lines: one header record, then one pmf per line)."""
-    pmf = _load_pmf(source, RATIONAL)
-    tgt = targets_from_pmf(pmf, digits=digits, margins=margins)
-    H = build_H(tgt)
+    H = build_H(_load_targets(source, digits, margins))
     cfg = SamplerConfig(seed=seed, count=count, burn_in=burn_in, thinning=thinning)
     if method == "dirichlet":
         V = enumerate_vertices(H)
-        _require_nonempty(V.vertices, V.empty_certificate)
+        _require_nonempty(V)
         draws = sample_dirichlet(V, cfg)
     else:
         y, _ = _relative_interior(H)
         total = sum(y)
-        draws = sample_hit_and_run(H, Pmf(d=pmf.d, cells=tuple(v / total for v in y), mode=FLOAT), cfg)
+        draws = sample_hit_and_run(H, Pmf(d=H.d, cells=tuple(v / total for v in y), mode=FLOAT), cfg)
     lines = [json.dumps({
         "method": method, "seed": seed, "count": count,
-        "burn_in": burn_in, "thinning": thinning, "d": pmf.d,
+        "burn_in": burn_in, "thinning": thinning, "d": H.d,
     })]
     lines.extend(json.dumps({"cells": [float(c) for c in draw.cells]}) for draw in draws)
     text = "\n".join(lines) + "\n"
@@ -364,9 +362,7 @@ def sample(source, method, count, seed, burn_in, thinning, digits, margins, outp
 @_exit_on_errors
 def ipf(source, as_json, digits, margins, tol, max_iter):
     """Maximum-entropy table for a table's targets, via proportional fitting."""
-    pmf = _load_pmf(source, RATIONAL)
-    tgt = targets_from_pmf(pmf, digits=digits, margins=margins)
-    report = ipf_max_entropy(tgt, tol=tol, max_iter=max_iter)
+    report = ipf_max_entropy(_load_targets(source, digits, margins), tol=tol, max_iter=max_iter)
     top = top_order_odds_ratio(report.table)
     if as_json:
         click.echo(json.dumps({

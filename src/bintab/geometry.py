@@ -68,22 +68,22 @@ is positive on S, so the dimension is ``|S| - 1 - rank(H on the S
 columns)``, exact on degenerate polytopes too.  Each certificate attempt
 emits one debug record whose mapping arguments are ``certified`` and ``rank``.
 
-:func:`enumerate_vertices` is the one entry point: it divides each ray by
-its coordinate sum into a vertex pmf, in one pass over the ray matrix.  One
-whole-matrix check, every entry >= 0 and every row sum > 0, proves that
-every row over its sum is a valid rational pmf, so the vertices skip the
-per-pmf validation.  Everything is deterministic: candidate pairs are
-scanned in a fixed order and the vertices are sorted by descending
-lexicographic order of their cells, which also pairs reflected vertices
-stably.  The sort key is exact and integer: ``ray * (L // sum(ray))`` with L
-the lcm of the ray sums, which is the cell vector scaled by L.  Its entries
-are at most L, so they are int64 when L is below the bound and Python ints
-otherwise.  Each distinct key entry k becomes one ``Fraction(k, L)``, which
-every vertex cell with that value shares.
+:func:`enumerate_vertices` is the one entry point.  Its :class:`VertexSet`
+holds the exact integer keys ``ray * (L // sum(ray))``, with L the lcm of
+the ray sums: row j is vertex j scaled by L, with entries at most L, so
+int64 below the bound and Python ints otherwise.  One whole-matrix check,
+every entry >= 0 and every row sum > 0, proves every row over L a valid
+rational pmf.  Candidate pairs are scanned in a fixed order and the rows
+are sorted in descending lexicographic order, which also pairs reflected
+vertices stably.  Every reader uses the keys; the vertex pmfs (one
+``Fraction(k, L)`` per distinct entry k, without per-pmf validation) and
+the float matrix (each entry the correctly rounded ``k / L``) are built
+from them once, on first access.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -110,26 +110,43 @@ _INT64_BOUND = 1 << 62
 
 logger = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexSet:
     """Extreme pmfs of the feasible polytope, in canonical order.
 
-    ``empty_certificate`` names the constraint row whose insertion emptied
-    the cone, when enumeration ended with no vertices.
+    Row j of ``keys`` (int64, or Python ints past the bound) is vertex j
+    times ``scale``.  ``empty_certificate`` names the constraint row whose
+    insertion emptied the cone, when enumeration ended with no vertices.
     """
 
-    vertices: Tuple[Pmf, ...]
+    keys: np.ndarray
+    scale: int
     constraints: ConstraintMatrix
     empty_certificate: Optional[tuple] = None
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.keys)
+
+    @functools.cached_property
+    def vertices(self) -> Tuple[Pmf, ...]:
+        """The vertices as rational pmfs, built on first access."""
+        rows = self.keys.tolist()
+        # one Fraction per distinct cell value: most cells of a vertex are 0
+        fraction = {k: Fraction(k, self.scale) for k in set().union(*rows)}
+        return tuple(Pmf._valid_rational(self.constraints.d, tuple(map(fraction.__getitem__, row))) for row in rows)
+
+    @functools.cached_property
+    def float_matrix(self) -> np.ndarray:
+        """The vertices as rows of floats; each ``k / scale`` in Python ints is correctly rounded."""
+        return np.array([k / self.scale for k in self.keys.ravel().tolist()]).reshape(self.keys.shape)
 
     @property
     def dimension(self) -> int:
         """Exact affine dimension of the polytope (-1 when it is empty)."""
-        support = {c for v in self.vertices for c, x in enumerate(v.cells) if x}
-        return _support_dimension(self.constraints, sorted(support))
+        # |S| - 1 - rank(H on the S columns), S the cells some vertex uses
+        cols = np.flatnonzero(self.keys.any(axis=0)).tolist()
+        _, pivots = _int_rref([[row[c] for c in cols] for row in self.constraints.rows])
+        return len(cols) - 1 - len(pivots)
 
 
 @dataclass(frozen=True)
@@ -254,8 +271,12 @@ def _extreme_rays(H: ConstraintMatrix) -> Tuple[np.ndarray, Optional[tuple]]:
     return R, None
 
 
-def _vertex_keys(R: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Exact integer rows ``ray * (L // sum(ray))``, the vertices scaled by L, the lcm of the ray sums; and L."""
+def enumerate_vertices(H: ConstraintMatrix) -> VertexSet:
+    """Extreme pmfs of the feasible polytope: each extreme ray divided by its coordinate sum."""
+    if H.d < 2:
+        # the vertices skip Pmf validation, which would reject this
+        raise DomainError(f"dimension must be >= 2, got {H.d}")
+    R, certificate = _extreme_rays(H)
     (R,) = _exact(R.shape[1] * _max_abs(R), R)
     sums = R.sum(axis=1)
     # every entry >= 0 and every sum > 0: each row over its sum is a valid rational pmf
@@ -264,34 +285,16 @@ def _vertex_keys(R: np.ndarray) -> Tuple[np.ndarray, int]:
     sums = sums.tolist()
     L = math.lcm(*sums)
     R, scale = _exact(L, R, np.array([L // s for s in sums], dtype=object))
-    return R * scale[:, None], L
+    keys = R * scale[:, None]  # the vertices times L
+    # descending lexicographic order; the keys are distinct
+    keys = keys[np.lexsort(keys.T[::-1])[::-1]]
+    return VertexSet(keys=keys, scale=L, constraints=H, empty_certificate=certificate)
 
 
-def enumerate_vertices(H: ConstraintMatrix) -> VertexSet:
-    """Extreme pmfs of the feasible polytope: each extreme ray divided by its coordinate sum."""
-    if H.d < 2:
-        # the vertices skip Pmf validation, which would reject this
-        raise DomainError(f"dimension must be >= 2, got {H.d}")
-    R, certificate = _extreme_rays(H)
-    keys, L = _vertex_keys(R)
-    del R  # the keys carry everything the vertices need; free the rays before building them
-    keys = sorted(keys.tolist(), reverse=True)
-    # one Fraction per distinct cell value: most cells of a vertex are 0
-    fraction = {k: Fraction(k, L) for k in set().union(*keys)}
-    vertices = tuple(Pmf._valid_rational(H.d, tuple(map(fraction.__getitem__, key))) for key in keys)
-    return VertexSet(vertices=vertices, constraints=H, empty_certificate=certificate)
-
-
-def _require_nonempty(found: Sequence, certificate):
-    """Raise :class:`EmptyFeasibleSetError` with ``certificate`` when nothing was found."""
-    if not len(found):
-        raise EmptyFeasibleSetError("the feasible polytope is empty", certificate=certificate)
-
-
-def _support_dimension(H: ConstraintMatrix, cols: Sequence[int]) -> int:
-    """``|S| - 1 - rank(H on the S columns)`` for S the sorted column indices ``cols``."""
-    _, pivots = _int_rref([[row[c] for c in cols] for row in H.rows])
-    return len(cols) - 1 - len(pivots)
+def _require_nonempty(V: VertexSet):
+    """Raise :class:`EmptyFeasibleSetError` with the certificate of ``V`` when it has no vertex."""
+    if not len(V):
+        raise EmptyFeasibleSetError("the feasible polytope is empty", certificate=V.empty_certificate)
 
 
 def _uniform_projection(rows: Sequence[Sequence], n: int) -> np.ndarray:
@@ -313,9 +316,9 @@ def _relative_interior(H: ConstraintMatrix) -> Tuple[Tuple[int, ...], int]:
     each pivot coordinate is the rational its row forces, and ``y`` is that
     point times the lcm of the pivot entries.  When every coordinate is
     positive, ``y`` proves the dimension ``2^d - 1 - rank(H)``.  Otherwise
-    one ray pass runs: ``y`` is the sum of the vertices scaled by the lcm
-    of the ray sums (the centroid, up to scale), and the dimension is
-    :func:`_support_dimension` of its support.  An empty polytope raises
+    :func:`enumerate_vertices` runs: ``y`` is the column sums of its keys
+    (the vertex centroid, up to scale), and the dimension is
+    :attr:`VertexSet.dimension`.  An empty polytope raises
     :class:`EmptyFeasibleSetError` with the row that emptied the cone.
     """
     m, pivots = _int_rref(H.rows)
@@ -336,12 +339,10 @@ def _relative_interior(H: ConstraintMatrix) -> Tuple[Tuple[int, ...], int]:
         for dot, row, pc in zip(dots, m, pivots):
             y[pc] = -dot * (scale // row[pc])
         return tuple(y), H.n_cols - 1 - len(pivots)
-    R, certificate = _extreme_rays(H)
-    _require_nonempty(R, certificate)
-    keys, L = _vertex_keys(R)
-    (keys,) = _exact(len(keys) * L, keys)  # each column sums at most len(keys) entries <= L
-    y = tuple(keys.sum(axis=0).tolist())
-    return y, _support_dimension(H, [c for c, v in enumerate(y) if v])
+    V = enumerate_vertices(H)
+    _require_nonempty(V)
+    (keys,) = _exact(len(V) * V.scale, V.keys)  # each column sums at most len(V) entries <= L
+    return tuple(keys.sum(axis=0).tolist()), V.dimension
 
 
 def polytope_dimension(H: ConstraintMatrix) -> int:
@@ -368,20 +369,18 @@ def mixture(weights: Union[MixtureWeights, Sequence], V: VertexSet) -> Pmf:
     if not isinstance(weights, MixtureWeights):
         weights = MixtureWeights(tuple(weights))
     theta = weights.theta
-    if len(theta) != len(V.vertices):
-        raise DimensionMismatchError(
-            f"{len(theta)} weights for {len(V.vertices)} vertices"
-        )
-    d = V.vertices[0].d
-    n = 2**d
-    # a zero weight adds 0 (or +0.0) to every cell, which changes no sum
-    terms = [(t, v.cells) for t, v in zip(theta, V.vertices) if t]
-    if all(isinstance(t, Fraction) for t in theta) and all(
-        v.mode == RATIONAL for v in V.vertices
-    ):
-        cells = tuple(sum((t * v[k] for t, v in terms), Fraction(0)) for k in range(n))
+    if len(theta) != len(V):
+        raise DimensionMismatchError(f"{len(theta)} weights for {len(V)} vertices")
+    d = V.constraints.d
+    if all(isinstance(t, Fraction) for t in theta):
+        # over the common denominator M of theta: cell k is sum_j (M theta_j) keys[j, k] / (M L)
+        M = math.lcm(*(t.denominator for t in theta))
+        w = np.array([t.numerator * (M // t.denominator) for t in theta], dtype=object)
+        w, keys = _exact(M * V.scale, w, V.keys)  # every product and sum is at most M L
+        cells = tuple(Fraction(k, M * V.scale) for k in (w @ keys).tolist())
         return Pmf(d=d, cells=cells, mode=RATIONAL)
-    cells = tuple(math.fsum(float(t) * float(v[k]) for t, v in terms) for k in range(n))
+    products = np.array(theta)[:, None] * V.float_matrix
+    cells = tuple(math.fsum(column) for column in products.T.tolist())
     return Pmf(d=d, cells=cells, mode=FLOAT)
 
 
@@ -389,8 +388,8 @@ def decompose(p: Pmf, V: VertexSet, tol: float = 1e-9) -> MixtureWeights:
     """Mixture weights reproducing ``p`` over the vertex set.
 
     A nonnegative least-squares fit (Lawson & Hanson) of ``[V; 1] theta =
-    [p; 1]`` proposes the weights.  When ``p`` and every vertex are
-    rational, the system on the proposed support is solved exactly, and a
+    [p; 1]`` proposes the weights.  When ``p`` is rational, the system on
+    the proposed support is solved exactly over the integer keys, and a
     consistent, nonnegative solution, which proves membership, is returned
     as exact weights.  Otherwise the renormalized float fit is returned when
     its max-norm residual is within ``tol``.  Beyond segments the
@@ -403,24 +402,25 @@ def decompose(p: Pmf, V: VertexSet, tol: float = 1e-9) -> MixtureWeights:
         If neither reproduces ``p``; the error carries the max-norm residual
         of the renormalized least-squares fit.
     """
-    n_d = len(V.vertices)
+    n_d = len(V)
     if n_d == 0:
         raise DomainError("cannot decompose over an empty vertex set")
-    d = V.vertices[0].d
+    d = V.constraints.d
     if p.d != d:
         raise DimensionMismatchError(f"pmf dimension {p.d} != vertex dimension {d}")
 
     from scipy.optimize import nnls  # imported here: it dominates the import time of bintab
 
-    A = np.array([float_cells(v) for v in V.vertices], dtype=float).T
+    A = V.float_matrix.T
     A_aug = np.vstack([A, np.ones((1, n_d))])
     b_aug = np.concatenate([np.array(float_cells(p)), [1.0]])
     # theta is never 0: at 0, raising any weight lowers the residual, since v.p + 1 > 0
     theta, _ = nnls(A_aug, b_aug)
     support = np.flatnonzero(theta > 0).tolist()
-    if p.mode == RATIONAL and all(v.mode == RATIONAL for v in V.vertices):
-        columns = [V.vertices[j].cells + (1,) for j in support]
-        solved = frac_solve(list(zip(*columns)), p.cells + (1,))
+    if p.mode == RATIONAL:
+        # keys[j] = L v_j, so sum_j theta_j keys[j] = L p, next to sum_j theta_j = 1
+        rows = V.keys[support].T.tolist() + [[1] * len(support)]
+        solved = frac_solve(rows, [V.scale * c for c in p.cells] + [1])
         # any nonnegative solution proves membership, whatever the nullity
         if solved is not None and all(x >= 0 for x in solved[0]):
             exact = dict(zip(support, solved[0]))

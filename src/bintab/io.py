@@ -15,16 +15,20 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from ._linalg import _integer_rows
 from .constraints import ConstraintMatrix, MarginTargets
 from .datasets import BUILTIN_NAMES, builtin_labels, builtin_pmf
-from .errors import TableParseError
-from .geometry import VertexSet
+from .errors import DomainError, TableParseError
+from .geometry import VertexSet, _exact, _max_abs
 from .loglinear import LogLinearParams
 from .table import RATIONAL, Pmf, cell_index
 
@@ -248,8 +252,8 @@ def constraints_to_json_dict(H: ConstraintMatrix) -> dict:
 def vertexset_to_json_dict(V: VertexSet, digits: int = 6) -> dict:
     """Vertex JSON embeds the generating targets so it can be reloaded alone."""
     return {
-        "d": V.vertices[0].d if V.vertices else V.constraints.d,
-        "count": len(V.vertices),
+        "d": V.constraints.d,
+        "count": len(V),
         "targets": targets_to_json_dict(V.constraints.targets, digits),
         "vertices": [
             {
@@ -290,13 +294,26 @@ def vertexset_from_json(text: str) -> VertexSet:
     try:
         targets = targets_from_json_dict(obj["targets"])
         H = build_H(targets)
-        vertices = []
-        for entry in _array(obj["vertices"], "'vertices'"):
+        d = obj["d"]
+        if type(d) is not int or d != targets.d:  # JSON true is a bool, an int subclass
+            raise TableParseError(f"vertex file 'd' must be the integer d={targets.d} of its targets, got {d!r}")
+        rows = []
+        for i, entry in enumerate(_array(obj["vertices"], "'vertices'"), start=1):
             cells = tuple(parse_rational(c) for c in _array(entry["cells"], "vertex 'cells'"))
-            vertices.append(Pmf(d=obj["d"], cells=cells, mode=RATIONAL))
+            try:
+                rows.append(Pmf(d=d, cells=cells, mode=RATIONAL).cells)
+            except DomainError as exc:
+                raise TableParseError(f"vertex {i}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise TableParseError(f"malformed vertex JSON: {exc}") from exc
-    return VertexSet(vertices=tuple(vertices), constraints=H)
+    L = math.lcm(*(c.denominator for row in rows for c in row))
+    (keys,) = _exact(L, np.array([[int(c * L) for c in row] for row in rows], dtype=object).reshape(-1, H.n_cols))
+    h = np.array(_integer_rows(H.rows), dtype=object)
+    K, h = _exact(H.n_cols * _max_abs(h) * L, keys, h)
+    violated = np.flatnonzero((K @ h.T != 0).any(axis=1))
+    if len(violated):
+        raise TableParseError(f"vertex {violated[0] + 1} violates the constraints of the file's targets")
+    return VertexSet(keys=keys, scale=L, constraints=H)
 
 
 def loglinear_to_json_dict(params: LogLinearParams) -> dict:

@@ -119,7 +119,7 @@ def reproduce_report(example: str) -> dict:
         V = enumerate_vertices(build_H(targets_from_pmf(pmf, digits=3)))
         sections.append(
             _section("extreme pmf count (targets at 3 decimals)",
-                     [("n", float(len(V.vertices)), float(ref["vertex_count"]))], decimals=0)
+                     [("n", float(len(V)), float(ref["vertex_count"]))], decimals=0)
         )
     elif example == RATERS:
         sections.append(

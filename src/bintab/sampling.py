@@ -60,7 +60,7 @@ from ._linalg import frac_nullspace
 from .constraints import ConstraintMatrix, residual
 from .errors import DomainError
 from .geometry import VertexSet
-from .table import FLOAT, Pmf, float_cells
+from .table import FLOAT, Pmf
 
 #: Tolerance for validating the feasibility of a hit-and-run start point.
 START_TOL = 1e-9
@@ -120,11 +120,10 @@ def sample_dirichlet(V: VertexSet, cfg: SamplerConfig) -> List[Pmf]:
     Every draw lies in the polytope by convexity.  Uniform over the
     polytope only when it is a segment; see the module note.
     """
-    n_d = len(V.vertices)
+    n_d = len(V)
     if n_d == 0:
         raise DomainError("cannot sample from an empty vertex set")
-    d = V.vertices[0].d
-    vertex_matrix = np.array([float_cells(v) for v in V.vertices], dtype=float)
+    d = V.constraints.d
     rng = _rng(cfg.seed)
     rows = max(1, _BLOCK_UNIFORMS // n_d)
     draws = []
@@ -136,7 +135,7 @@ def sample_dirichlet(V: VertexSet, cfg: SamplerConfig) -> List[Pmf]:
             exponentials, totals, out=np.full_like(exponentials, 1.0 / n_d), where=totals > 0
         )
         for theta in thetas:
-            cells = theta @ vertex_matrix
+            cells = theta @ V.float_matrix
             draws.append(Pmf(d=d, cells=tuple(cells.tolist()), mode=FLOAT))
     _log("dirichlet", cfg.count, cfg.count, 0)
     return draws

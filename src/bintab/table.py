@@ -167,11 +167,10 @@ class Pmf:
 
         The caller guarantees what the validation would check: ``d >= 2``,
         ``2^d`` cells, each a nonnegative ``Fraction``, summing to exactly 1.
-        :func:`bintab.geometry.enumerate_vertices` proves it for the whole
-        ray matrix at once: it checks ``d >= 2``, the matrix has ``2^d``
-        columns, every entry is >= 0 and every row sum s is > 0, so row / s
-        is nonnegative and sums to s / s = 1.  Every pmf built from outside
-        input goes through the validating constructor.
+        ``VertexSet.vertices`` relies on it: :func:`bintab.geometry.enumerate_vertices`
+        checks ``d >= 2``, ``2^d`` columns, every ray entry >= 0 and every
+        ray sum s > 0, so ray / s is nonnegative and sums to 1; a vertex file
+        validates each vertex as a pmf when it is loaded.
         """
         p = object.__new__(cls)
         p.__dict__.update(d=d, cells=cells, mode=RATIONAL, total=None)

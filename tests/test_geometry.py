@@ -1,5 +1,6 @@
 """Vertex enumeration, mixtures, and decomposition."""
 
+import json
 import logging
 import math
 import random
@@ -16,18 +17,21 @@ from bintab import (
     MixtureWeights,
     NotInPolytopeError,
     Pmf,
+    SamplerConfig,
     build_H,
     decompose,
     enumerate_vertices,
     ipf_max_entropy,
     mixture,
     polytope_dimension,
+    sample_dirichlet,
     satisfies,
     targets_from_pmf,
     top_order_odds_ratio,
 )
 from bintab import geometry
 from bintab.geometry import _extreme_rays
+from bintab.io import vertexset_from_json, vertexset_to_json_dict
 from conftest import (
     EXAMPLE1_VERTEX_A,
     EXAMPLE1_VERTEX_B,
@@ -273,6 +277,46 @@ class TestIntegerPaths:
         assert polytope_dimension(H) == fast.dimension
 
 
+class TestVertexMatrix:
+    @pytest.mark.parametrize("digits, dtype", [(3, np.int64), (20, object)], ids=["int64", "python-ints"])
+    def test_float_matrix_is_float_cells(self, water, digits, dtype):
+        # at digits 20 the scale L has 70 bits, past the int64 bound
+        V = enumerate_vertices(build_H(targets_from_pmf(water, digits=digits)))
+        assert V.keys.dtype == dtype
+        expected = np.array([[c.numerator / c.denominator for c in v.cells] for v in V.vertices])
+        assert V.float_matrix.tobytes() == expected.tobytes()
+        assert [v.cells for v in V.vertices] == [tuple(F(k, V.scale) for k in row) for row in V.keys.tolist()]
+
+    def test_vertices_built_once_only_when_read(self, water):
+        V = enumerate_vertices(build_H(targets_from_pmf(water, digits=3)))
+        assert V.dimension == 5
+        theta = MixtureWeights(tuple(F(int(j in (3, 40)), 2) for j in range(len(V))))
+        decompose(mixture(theta, V), V)
+        mixture(MixtureWeights((1.0 / len(V),) * len(V)), V)
+        sample_dirichlet(V, SamplerConfig(seed=1, count=3))
+        assert "vertices" not in V.__dict__
+        assert V.vertices is V.vertices
+
+    @pytest.mark.parametrize("digits", [3, 20])
+    def test_exact_mixture_is_the_fraction_sum(self, water, digits):
+        V = enumerate_vertices(build_H(targets_from_pmf(water, digits=digits)))
+        rng = random.Random(digits)
+        for _ in range(5):
+            raw = [F(rng.randrange(4), rng.randrange(1, 10**rng.randrange(1, 12))) for _ in range(len(V))]
+            theta = tuple(t / sum(raw) for t in raw)
+            expected = tuple(sum((t * v.cells[k] for t, v in zip(theta, V.vertices)), F(0)) for k in range(16))
+            assert mixture(MixtureWeights(theta), V).cells == expected
+
+    def test_vertex_file_keeps_its_order(self, water):
+        V = enumerate_vertices(build_H(targets_from_pmf(water, digits=3)))
+        payload = vertexset_to_json_dict(V)
+        payload["vertices"].reverse()
+        loaded = vertexset_from_json(json.dumps(payload))
+        assert [v.cells for v in loaded.vertices] == [v.cells for v in reversed(V.vertices)]
+        assert (loaded.keys.dtype, loaded.scale) == (V.keys.dtype, V.scale)
+        assert loaded.dimension == V.dimension
+
+
 class TestVertexInvariants:
     def test_kernel_membership_exact(self, example1_H3, example1_vertices):
         for v in example1_vertices.vertices:
@@ -303,12 +347,10 @@ class TestVertexInvariants:
         assert {tuple(reversed(v.cells)) for v in V.vertices} != expected
 
     def test_minimality_no_vertex_redundant(self, example1_vertices):
-        va, vb = example1_vertices.vertices
-        reduced = type(example1_vertices)(
-            vertices=(vb,), constraints=example1_vertices.constraints
-        )
+        V = example1_vertices
+        reduced = type(V)(keys=V.keys[1:], scale=V.scale, constraints=V.constraints)
         with pytest.raises(NotInPolytopeError):
-            decompose(va, reduced, tol=1e-9)
+            decompose(V.vertices[0], reduced, tol=1e-9)
 
 
 class TestBruteForceOracle:
@@ -604,6 +646,6 @@ class TestDecompose:
     def test_water_vertex_excluded_is_unrepresentable(self, water):
         V = enumerate_vertices(build_H(targets_from_pmf(water, digits=3)))
         target = V.vertices[0]
-        reduced = type(V)(vertices=V.vertices[1:], constraints=V.constraints)
+        reduced = type(V)(keys=V.keys[1:], scale=V.scale, constraints=V.constraints)
         with pytest.raises(NotInPolytopeError):
             decompose(target.to_float(), reduced, tol=1e-6)

@@ -412,6 +412,42 @@ class TestCliPipelines:
         result = runner.invoke(main, ["mixture", str(vertex_file), "--weights", "1,0"])
         assert result.exit_code == 3, result.output
 
+    @pytest.mark.parametrize(
+        "case, command, message",
+        [
+            # a float d must stop at the loader, before geometry.mixture sees it
+            pytest.param("float-d", "mixture", "'d' must be the integer d=3", id="float-d"),
+            # the uniform table misses the moment targets, so no vertex file may hold it
+            # (decompose would certify it as its own exact mixture)
+            pytest.param("off-targets", "decompose", "vertex 1 violates", id="off-targets"),
+            pytest.param("d-mismatch", "mixture", "'d' must be the integer d=3", id="d-mismatch"),
+            pytest.param("vertex-sum", "mixture", "vertex 2: cell probability sum", id="vertex-sum"),
+        ],
+    )
+    def test_vertex_file_checked_against_its_targets(self, runner, tmp_path, case, command, message):
+        vertex_file = tmp_path / "vertices.json"
+        runner.invoke(main, ["vertices", "builtin:example1", "--digits", "3", "--output", str(vertex_file)])
+        payload = json.loads(vertex_file.read_text())
+        if case == "float-d":
+            payload["d"] = 3.0
+        elif case == "off-targets":
+            for vertex in payload["vertices"]:
+                vertex["cells"] = ["1/8"] * 8
+        elif case == "d-mismatch":
+            payload["d"] = 2
+            for vertex in payload["vertices"]:
+                vertex["cells"] = ["1/4"] * 4
+        else:
+            payload["vertices"][1]["cells"][0] = "1"
+        vertex_file.write_text(json.dumps(payload))
+        uniform = tmp_path / "uniform.json"
+        uniform.write_text(json.dumps({"cells": [1] * 8}))
+        argv = {"mixture": ["mixture", str(vertex_file), "--weights", "1/2,1/2"],
+                "decompose": ["decompose", str(vertex_file), str(uniform)]}[command]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 3, result.output
+        assert message in result.output
+
     @pytest.mark.parametrize("weights", ["nan,1", "1,nan", "inf,0"])
     def test_non_finite_weights_exit_code(self, runner, tmp_path, weights):
         vertex_file = tmp_path / "vertices.json"
