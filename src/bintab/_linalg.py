@@ -1,21 +1,41 @@
-"""Exact linear algebra over rationals, on Python integers.
+"""Exact linear algebra over rationals, on integers.
 
 Small dense systems only (at most a few dozen rows/columns).  There is one
-elimination, :func:`_int_rref`: rational rows are scaled to primitive
-integer rows (:func:`_integer_rows`) and reduced by fraction-free
-Gauss-Jordan.  Each row it returns is a primitive integer multiple of a row
-of the reduced row echelon form, which is unique, so a Fraction read off
-it (an entry over the row's pivot entry) is the one plain Gauss-Jordan over
-Fractions gives.  The rank is the number of pivots.  :func:`frac_nullspace`
-and :func:`frac_solve` read the rows, and so do the support-rank and the
-interior-point certificate in ``geometry``.
+elimination, :func:`_int_rref`, a fraction-free Gauss-Jordan.  Readers of
+H pass its primitive integer rows, the array ``ConstraintMatrix.int_rows``,
+which it reduces as they are; other rational rows are first scaled to
+primitive integer rows (:func:`_integer_rows`).  Each row it returns is an
+integer multiple of a row of the reduced row echelon form, which is
+unique, so a Fraction read off it (an entry over the row's pivot entry) is
+the one plain Gauss-Jordan over Fractions gives.  The rank is the number
+of pivots.  :func:`frac_nullspace` and :func:`frac_solve` read the rows,
+and so do the support-rank and the interior-point certificate in
+``geometry``.
+
+:func:`_exact` holds the one int64-or-Python-int rule for the exact integer
+arrays: H's integer rows, the rays and the vertex keys.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
+
+import numpy as np
+
+#: int64 arithmetic is used only when a bound on every intermediate is below this.
+_INT64_BOUND = 1 << 62
+
+
+def _exact(bound: int, *arrays: np.ndarray) -> List[np.ndarray]:
+    """The arrays as int64 when ``bound`` on every intermediate is below 2^62, else as Python ints."""
+    dtype = np.int64 if bound < _INT64_BOUND else object
+    return [a.astype(dtype, copy=False) for a in arrays]
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> List[Tuple[int, ...]]:
@@ -32,18 +52,19 @@ def _integer_rows(rows: Sequence[Sequence]) -> List[Tuple[int, ...]]:
     return out
 
 
-def _int_rref(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
-    """Integer reduced row echelon form of rational ``rows``, and its pivot columns.
+def _int_rref(rows: Union[Sequence[Sequence], np.ndarray]) -> Tuple[List[List[int]], List[int]]:
+    """Integer reduced row echelon form of ``rows``, and its pivot columns.
 
-    Fraction-free Gauss-Jordan on the rows scaled by :func:`_integer_rows`:
-    clearing column ``c`` of row ``i`` with pivot row ``p`` is
+    Rational rows are scaled by :func:`_integer_rows`; an integer array,
+    such as ``ConstraintMatrix.int_rows``, is taken as it is.  Fraction-free
+    Gauss-Jordan: clearing column ``c`` of row ``i`` with pivot row ``p`` is
     ``p[c] * row_i - row_i[c] * p``, after which row ``i`` is divided by the
     gcd of its entries.  Returns all rows, the pivot rows first: row ``i <
-    len(pivots)`` is a primitive integer multiple of the ``i``-th row of the
-    reduced row echelon form, zero in every other pivot column, and the
-    rest are zero.
+    len(pivots)`` is an integer multiple of the ``i``-th row of the reduced
+    row echelon form (primitive when the rows it starts from are), zero in
+    every other pivot column, and the rest are zero.
     """
-    m = [list(row) for row in _integer_rows(rows)]
+    m = rows.tolist() if isinstance(rows, np.ndarray) else [list(row) for row in _integer_rows(rows)]
     pivots: List[int] = []
     r = 0
     for c in range(len(m[0]) if m else 0):
@@ -66,7 +87,7 @@ def _int_rref(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
     return m, pivots
 
 
-def frac_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
+def frac_nullspace(rows: Union[Sequence[Sequence], np.ndarray], ncols: int):
     """Basis of the right kernel of the given rows, as tuples of Fractions.
 
     Each basis vector sets one free variable to 1 and the others to 0.

@@ -23,15 +23,23 @@ The homogeneous constraint matrix H couples a cell vector p to the targets:
 The nonnegative kernel of H is the cone of all feasible (unnormalized)
 tables; intersecting with the probability simplex gives the feasible
 polytope handled by :mod:`bintab.geometry`.
+
+H keeps its rational rows and, built once on first read, the read-only
+matrix ``int_rows`` of the same rows scaled to primitive integers, which
+every exact reader of H uses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
+from ._linalg import _exact, _integer_rows, _max_abs
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -248,6 +256,14 @@ class ConstraintMatrix:
     @property
     def n_cols(self) -> int:
         return 2**self.d
+
+    @functools.cached_property
+    def int_rows(self) -> np.ndarray:
+        """The rows as primitive integers, read-only: int64 below the ``_exact`` bound, else Python ints."""
+        rows = np.array(_integer_rows(self.rows), dtype=object).reshape(self.n_rows, self.n_cols)
+        (rows,) = _exact(_max_abs(rows), rows)
+        rows.flags.writeable = False
+        return rows
 
 
 def build_H(targets: MarginTargets) -> ConstraintMatrix:

@@ -8,8 +8,9 @@ method in exact integer arithmetic:
 
 1. start from the nonnegative orthant, whose extreme rays are the unit
    vectors;
-2. insert the hyperplanes ``h . y = 0`` one at a time (margin rows first,
-   then moment rows); the rays of the refined cone are the old rays lying
+2. insert the hyperplanes ``h . y = 0`` one at a time, each ``h`` a row of
+   the primitive integer matrix ``H.int_rows`` (margin rows first, then
+   moment rows); the rays of the refined cone are the old rays lying
    on the hyperplane plus one positive combination ``(h.r+) r- - (h.r-) r+``
    for every *adjacent* pair split by it.
 
@@ -47,10 +48,10 @@ integer matrix R of the current rays:
   hyperplane in pos-major, neg-minor pair order.
 
 R is int64 only while a bound computed from the data proves that no
-intermediate overflows: ``n * max|h| * max|R| < 2^62`` before the values,
-``2 * max|h.r| * max|R| < 2^62`` before the combination.  Otherwise the
-same operations run on Python ints (``dtype=object``), so results stay
-exact for any target precision.
+intermediate overflows (``_linalg._exact``): ``n * max|h| * max|R| < 2^62``
+before the values, ``2 * max|h.r| * max|R| < 2^62`` before the
+combination.  Otherwise the same operations run on Python ints
+(``dtype=object``), so results stay exact for any target precision.
 
 Each inserted row emits one debug record on the ``bintab.geometry`` logger
 with its counts: rays in and out, candidate pairs, and pairs left after
@@ -59,7 +60,8 @@ each filter.
 Nonemptiness, the affine dimension and the hit-and-run start all come
 from one exact relative-interior point (:func:`_relative_interior`).  A
 float projection of the uniform table, made exact on the integer
-Gauss-Jordan rows of H, usually certifies a full-support feasible table;
+Gauss-Jordan rows of ``H.int_rows``, usually certifies a full-support
+feasible table;
 then the affine hull is ``{H y = 0, sum(y) = 1}`` (the all-ones row is not
 in the row space of H, as the point has a positive sum) and the dimension
 is ``2^d - 1 - rank(H)``.  Otherwise one ray pass runs: every feasible
@@ -88,11 +90,11 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._linalg import _int_rref, _integer_rows, frac_solve
+from ._linalg import _exact, _int_rref, _max_abs, frac_solve
 from .constraints import ConstraintMatrix
 from .errors import (
     DimensionMismatchError,
@@ -104,9 +106,6 @@ from .table import FLOAT, RATIONAL, Pmf, _probability_vector, float_cells
 
 #: Size of the (candidate pairs x rays) block of one vectorized subset test.
 _SUBSET_BLOCK_BYTES = 1 << 20
-
-#: int64 ray arithmetic is used only when a bound on every intermediate is below this.
-_INT64_BOUND = 1 << 62
 
 logger = logging.getLogger(__name__)
 
@@ -124,6 +123,10 @@ class VertexSet:
     constraints: ConstraintMatrix
     empty_certificate: Optional[tuple] = None
 
+    def __post_init__(self):
+        # every reader shares the keys, and .vertices is cached from them
+        self.keys.flags.writeable = False
+
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -138,14 +141,16 @@ class VertexSet:
     @functools.cached_property
     def float_matrix(self) -> np.ndarray:
         """The vertices as rows of floats; each ``k / scale`` in Python ints is correctly rounded."""
-        return np.array([k / self.scale for k in self.keys.ravel().tolist()]).reshape(self.keys.shape)
+        matrix = np.array([k / self.scale for k in self.keys.ravel().tolist()]).reshape(self.keys.shape)
+        matrix.flags.writeable = False
+        return matrix
 
     @property
     def dimension(self) -> int:
         """Exact affine dimension of the polytope (-1 when it is empty)."""
         # |S| - 1 - rank(H on the S columns), S the cells some vertex uses
-        cols = np.flatnonzero(self.keys.any(axis=0)).tolist()
-        _, pivots = _int_rref([[row[c] for c in cols] for row in self.constraints.rows])
+        cols = np.flatnonzero(self.keys.any(axis=0))
+        _, pivots = _int_rref(self.constraints.int_rows[:, cols])
         return len(cols) - 1 - len(pivots)
 
 
@@ -171,16 +176,6 @@ class MixtureWeights:
 # ---------------------------------------------------------------------------
 # double description
 # ---------------------------------------------------------------------------
-
-
-def _exact(bound: int, *arrays: np.ndarray) -> List[np.ndarray]:
-    """The arrays as int64 when ``bound`` on every intermediate is below 2^62, else as Python ints."""
-    dtype = np.int64 if bound < _INT64_BOUND else object
-    return [a.astype(dtype, copy=False) for a in arrays]
-
-
-def _max_abs(a: np.ndarray) -> int:
-    return int(np.abs(a).max()) if a.size else 0
 
 
 def _mask_words(R: np.ndarray) -> np.ndarray:
@@ -222,15 +217,15 @@ def _insert_equality(
     R: np.ndarray,
     masks: np.ndarray,
     inserted: int,
-    h: Tuple[int, ...],
+    h: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, dict]:
     """Refine the cone by ``h . y = 0``; return the new ray matrix, its masks and the row's counts.
 
-    ``R`` holds one ray per row and ``inserted`` is the number of rows
-    inserted before ``h``.
+    ``R`` holds one ray per row, ``h`` is one row of ``int_rows`` and
+    ``inserted`` is the number of rows inserted before ``h``.
     """
-    R, h_col = _exact(len(h) * max(map(abs, h)) * _max_abs(R), R, np.array(h, dtype=object))
-    vals = R @ h_col
+    R, h = _exact(len(h) * _max_abs(h) * _max_abs(R), R, h)
+    vals = R @ h
     zero, pos, neg = np.flatnonzero(vals == 0), np.flatnonzero(vals > 0), np.flatnonzero(vals < 0)
     counts = {
         "rays_in": len(R),
@@ -258,7 +253,7 @@ def _extreme_rays(H: ConstraintMatrix) -> Tuple[np.ndarray, Optional[tuple]]:
     """
     R = np.eye(H.n_cols, dtype=np.int64)
     masks = _mask_words(R)
-    for inserted, (label, h) in enumerate(zip(H.labels, _integer_rows(H.rows))):
+    for inserted, (label, h) in enumerate(zip(H.labels, H.int_rows)):
         R, masks, counts = _insert_equality(R, masks, inserted, h)
         counts.update(row=label, rays_out=len(R))
         logger.debug(
@@ -321,7 +316,7 @@ def _relative_interior(H: ConstraintMatrix) -> Tuple[Tuple[int, ...], int]:
     :attr:`VertexSet.dimension`.  An empty polytope raises
     :class:`EmptyFeasibleSetError` with the row that emptied the cone.
     """
-    m, pivots = _int_rref(H.rows)
+    m, pivots = _int_rref(H.int_rows)
     free = sorted(set(range(H.n_cols)) - set(pivots))
     proposal = [int(v * 2.0**62) for v in _uniform_projection(H.rows, H.n_cols)[free].tolist()]
     dots = [sum(row[c] * v for c, v in zip(free, proposal)) for row in m[: len(pivots)]]

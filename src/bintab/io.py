@@ -24,11 +24,11 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._linalg import _integer_rows
+from ._linalg import _exact, _max_abs
 from .constraints import ConstraintMatrix, MarginTargets
 from .datasets import BUILTIN_NAMES, builtin_labels, builtin_pmf
 from .errors import DomainError, TableParseError
-from .geometry import VertexSet, _exact, _max_abs
+from .geometry import VertexSet
 from .loglinear import LogLinearParams
 from .table import RATIONAL, Pmf, cell_index
 
@@ -223,7 +223,17 @@ def _pair_from_key(key: str) -> Tuple[int, int]:
 
 
 def _decimal_str(value: Fraction, digits: int) -> str:
-    return f"{float(value):.{digits}f}"
+    """Nonnegative ``value`` rounded exactly to ``digits`` decimals.
+
+    A half-way value goes to the side of its nearest double (to even when
+    the double is half-way too), as float formatting sends it.
+    """
+    n, r = divmod(value.numerator * 10**digits, value.denominator)
+    past_half = 2 * r - value.denominator
+    if past_half > 0 or past_half == 0 and (float(value) > value or float(value) == value and n % 2):
+        n += 1
+    whole, part = divmod(n, 10**digits)
+    return f"{whole}.{part:0{digits}d}" if digits else str(whole)
 
 
 def targets_to_json_dict(targets: MarginTargets, digits: int = 6) -> dict:
@@ -279,7 +289,10 @@ def targets_from_json_dict(obj: dict) -> MarginTargets:
         if not isinstance(entries, dict):
             raise TableParseError(f"targets 'moments' must be a JSON object, got {type(entries).__name__}")
         moments = {_pair_from_key(key): parse_rational(entry["rational"]) for key, entry in entries.items()}
-        return MarginTargets(d=obj["d"], univariate=univariate, moments=moments)
+        d = obj["d"]
+        if type(d) is not int:  # JSON true is a bool, an int subclass
+            raise TableParseError(f"targets 'd' must be a JSON integer, got {d!r}")
+        return MarginTargets(d=d, univariate=univariate, moments=moments)
     except (KeyError, IndexError, TypeError) as exc:
         raise TableParseError(f"malformed targets JSON: {exc}") from exc
 
@@ -308,8 +321,7 @@ def vertexset_from_json(text: str) -> VertexSet:
         raise TableParseError(f"malformed vertex JSON: {exc}") from exc
     L = math.lcm(*(c.denominator for row in rows for c in row))
     (keys,) = _exact(L, np.array([[int(c * L) for c in row] for row in rows], dtype=object).reshape(-1, H.n_cols))
-    h = np.array(_integer_rows(H.rows), dtype=object)
-    K, h = _exact(H.n_cols * _max_abs(h) * L, keys, h)
+    K, h = _exact(H.n_cols * _max_abs(H.int_rows) * L, keys, H.int_rows)
     violated = np.flatnonzero((K @ h.T != 0).any(axis=1))
     if len(violated):
         raise TableParseError(f"vertex {violated[0] + 1} violates the constraints of the file's targets")

@@ -51,7 +51,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List
 
 import numpy as np
@@ -156,8 +155,7 @@ def sample_hit_and_run(H: ConstraintMatrix, start: Pmf, cfg: SamplerConfig) -> L
         raise DomainError(f"start point violates the constraints (residual {res:.3e})")
 
     # Exact rational kernel of [H; ones], orthonormalized in floating point.
-    ones_row = tuple([Fraction(1)] * H.n_cols)
-    basis = frac_nullspace(list(H.rows) + [ones_row], H.n_cols)
+    basis = frac_nullspace(np.vstack([H.int_rows, np.ones(H.n_cols, dtype=np.int64)]), H.n_cols)
     if not basis:
         _log("hitrun", 0, cfg.count, 0)
         return [p0] * cfg.count

@@ -12,7 +12,7 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -100,6 +100,18 @@ def reference_nullspace(rows, ncols):
             vec[pc] = -rref[row_idx][fc]
         basis.append(tuple(vec))
     return basis
+
+
+def reference_primitive_row(row):
+    """The primitive integer row that is a positive multiple of the rational ``row``."""
+    den = 1
+    for v in row:
+        den = den * F(v).denominator // gcd(den, F(v).denominator)
+    ints = [int(F(v) * den) for v in row]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    return [v // g for v in ints] if g else ints
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from conftest import (
     random_rational_pmf,
     reference_moment_from_root,
     reference_observed_targets,
+    reference_primitive_row,
     reference_rank,
     reference_uniform_moment,
 )
@@ -322,6 +324,32 @@ class TestBuildH:
         reflected = [tuple(reversed(row)) for row in example1_H3.rows]
         base_rank = reference_rank(example1_H3.rows)
         assert reference_rank(list(example1_H3.rows) + reflected) == base_rank
+
+
+class TestIntRows:
+    @pytest.mark.parametrize("margins", ["uniform", "observed"])
+    @pytest.mark.parametrize("digits", [3, 9, 20])
+    @pytest.mark.parametrize("name", ["example1", "water", "raters"])
+    def test_each_row_is_the_primitive_positive_multiple(self, request, name, digits, margins):
+        H = build_H(targets_from_pmf(request.getfixturevalue(name), digits=digits, margins=margins))
+        expected = [reference_primitive_row(row) for row in H.rows]
+        assert H.int_rows.shape == (H.n_rows, H.n_cols)
+        assert H.int_rows.tolist() == expected
+        assert all(type(v) is int for row in H.int_rows.tolist() for v in row)
+        past_bound = max(abs(v) for row in expected for v in row) >= 2**62
+        assert H.int_rows.dtype == (object if past_bound else np.int64)
+        # both dtypes are covered: 20-digit uniform-margin moments are past the bound
+        if digits < 20:
+            assert not past_bound
+        elif margins == "uniform":
+            assert past_bound
+
+    def test_built_once_and_read_only(self, example1_H3):
+        H = build_H(example1_H3.targets)
+        assert "int_rows" not in H.__dict__
+        assert H.int_rows is H.int_rows
+        with pytest.raises(ValueError):
+            H.int_rows[0, 0] = 0
 
 
 class TestResidual:

@@ -29,7 +29,7 @@ from bintab import (
     targets_from_pmf,
     top_order_odds_ratio,
 )
-from bintab import geometry
+from bintab import _linalg, geometry
 from bintab.geometry import _extreme_rays
 from bintab.io import vertexset_from_json, vertexset_to_json_dict
 from conftest import (
@@ -263,7 +263,7 @@ class TestIntegerPaths:
         assert _extreme_rays(H)[0].dtype == np.int64
         fast = enumerate_vertices(H)
         # every bound here is at least 1, so every ray and key operation runs on Python ints
-        monkeypatch.setattr(geometry, "_INT64_BOUND", 1)
+        monkeypatch.setattr(_linalg, "_INT64_BOUND", 1)
         assert _extreme_rays(H)[0].dtype == object
         slow = enumerate_vertices(H)
         assert len(slow) == count
@@ -315,6 +315,16 @@ class TestVertexMatrix:
         assert [v.cells for v in loaded.vertices] == [v.cells for v in reversed(V.vertices)]
         assert (loaded.keys.dtype, loaded.scale) == (V.keys.dtype, V.scale)
         assert loaded.dimension == V.dimension
+
+    @pytest.mark.parametrize("digits", [3, 20])
+    def test_shared_arrays_are_read_only(self, water, digits):
+        # a write would corrupt the later .vertices, decompose and sample_dirichlet
+        V = enumerate_vertices(build_H(targets_from_pmf(water, digits=digits)))
+        loaded = vertexset_from_json(json.dumps(vertexset_to_json_dict(V)))
+        for array in (V.keys, V.float_matrix, loaded.keys, loaded.float_matrix, V.constraints.int_rows):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+        assert V.vertices[0].cells == tuple(F(k, V.scale) for k in V.keys[0].tolist())
 
 
 class TestVertexInvariants:

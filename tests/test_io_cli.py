@@ -12,9 +12,10 @@ import pytest
 from click.testing import CliRunner
 
 import bintab
-from bintab import MarginTargets, TableParseError, all_pairs, targets_from_pmf
+from bintab import MarginTargets, TableParseError, all_pairs, build_H, enumerate_vertices, targets_from_pmf
 from bintab.cli import main
 from bintab.io import (
+    _decimal_str,
     document_from_csv,
     document_from_json,
     document_to_json_dict,
@@ -167,6 +168,43 @@ class TestAxisKeys:
         obj["moments"] = {key.replace(",", ""): entry for key, entry in obj["moments"].items()}
         assert set(obj["moments"]) == {"12", "13", "23"}
         assert targets_from_json_dict(obj) == targets
+
+
+class TestDecimalRenderings:
+    @pytest.mark.parametrize("command", ["targets", "vertices"])
+    def test_digits_20_decimals_are_the_rationals(self, runner, command):
+        result = runner.invoke(main, [command, "builtin:example1", "--digits", "20", "--json"])
+        assert result.exit_code == 0, result.output
+        obj = json.loads(result.output)
+        targets = obj if command == "targets" else obj["targets"]
+        assert targets["moments"]["1,2"]["decimal"] == "0.19371294336139655533"
+        pairs = [(e["decimal"], e["rational"]) for e in targets["moments"].values()]
+        for vertex in obj.get("vertices", []):
+            pairs += zip(vertex["decimals"], vertex["cells"])
+        assert all(F(decimal) == F(rational) for decimal, rational in pairs)
+
+    def test_ties_round_as_float_formatting_does(self, water):
+        # water's digits-6 vertices have half-way cells: 0.1115335 renders down and
+        # 0.1027705 up, each to the side of its nearest double
+        V = enumerate_vertices(build_H(targets_from_pmf(water, digits=6)))
+        cells = {c for v in V.vertices for c in v.cells}
+        assert {F(1115335, 10**7), F(1027705, 10**7)} <= cells
+        assert all(_decimal_str(c, 6) == f"{float(c):.6f}" for c in cells)
+
+    @pytest.mark.parametrize(
+        "value, digits, text",
+        [
+            (F(1, 8), 2, "0.12"),  # a double on the half-way point: to even
+            (F(3, 8), 2, "0.38"),
+            (F(5, 2), 0, "2"),
+            (F(7, 2), 0, "4"),
+            (F(1, 2000), 3, "0.001"),  # the nearest double lies above 0.0005
+            (F(2, 3), 20, "0.66666666666666666667"),
+            (F(0), 3, "0.000"),
+        ],
+    )
+    def test_rounding(self, value, digits, text):
+        assert _decimal_str(value, digits) == text
 
 
 @pytest.fixture()
@@ -447,6 +485,17 @@ class TestCliPipelines:
         result = runner.invoke(main, argv)
         assert result.exit_code == 3, result.output
         assert message in result.output
+
+    @pytest.mark.parametrize("d", [True, 3.0, "3"], ids=["bool", "float", "string"])
+    def test_vertex_file_targets_d_must_be_an_integer(self, runner, tmp_path, d):
+        vertex_file = tmp_path / "vertices.json"
+        runner.invoke(main, ["vertices", "builtin:example1", "--digits", "3", "--output", str(vertex_file)])
+        payload = json.loads(vertex_file.read_text())
+        payload["targets"]["d"] = d
+        vertex_file.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["mixture", str(vertex_file), "--weights", "1/2,1/2"])
+        assert result.exit_code == 3, result.output
+        assert "targets 'd' must be a JSON integer" in result.output
 
     @pytest.mark.parametrize("weights", ["nan,1", "1,nan", "inf,0"])
     def test_non_finite_weights_exit_code(self, runner, tmp_path, weights):

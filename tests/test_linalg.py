@@ -6,12 +6,13 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bintab
 from bintab._linalg import _int_rref, frac_nullspace, frac_solve
-from conftest import _gauss_solve, reference_nullspace, reference_rank, reference_rref
+from conftest import _gauss_solve, reference_nullspace, reference_primitive_row, reference_rank, reference_rref
 
 F = Fraction
 
@@ -96,6 +97,9 @@ def test_frac_rref_matches_rational_gauss_jordan(m):
             assert [F(v, row[pivots[i]]) for v in row] == expected_rows[i]
         else:
             assert not any(row) and not any(expected_rows[i])
+    # an integer array, as H's primitive rows are given, is reduced as it is, to the same rows
+    primitive = np.array([reference_primitive_row(row) for row in m], dtype=np.int64)
+    assert _int_rref(primitive.reshape(len(m), len(m[0]) if m else 0)) == (rows, pivots)
 
 
 @settings(max_examples=400, deadline=None)
@@ -135,3 +139,31 @@ def test_every_linalg_function_has_a_caller_in_the_package():
             if isinstance(node, ast.ImportFrom) and node.module in ("_linalg", "bintab._linalg"):
                 imported.update(alias.name for alias in node.names)
     assert defined and not defined - imported, f"no caller in src/bintab: {sorted(defined - imported)}"
+
+
+def test_only_constraints_scales_rows_and_only_linalg_holds_the_int64_rule():
+    # H's rows are scaled to integers once, in ConstraintMatrix.int_rows, which every exact reader uses
+    src = Path(bintab.__file__).parent
+    users, definers = set(), {}
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            names = (
+                {alias.name for alias in node.names} if isinstance(node, ast.ImportFrom)
+                else {node.id} if isinstance(node, ast.Name)
+                else {node.attr} if isinstance(node, ast.Attribute)
+                else set()
+            )
+            if "_integer_rows" in names:
+                users.add(path.stem)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined = {node.name}
+            elif isinstance(node, ast.Assign):
+                defined = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            for name in defined & {"_exact", "_max_abs", "_INT64_BOUND"}:
+                definers.setdefault(name, set()).add(path.stem)
+    assert users == {"_linalg", "constraints"}
+    assert definers == {name: {"_linalg"} for name in ("_exact", "_max_abs", "_INT64_BOUND")}
