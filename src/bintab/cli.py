@@ -40,6 +40,7 @@ from .geometry import (
     mixture as geometry_mixture,
 )
 from .io import (
+    _decimal_str,
     axes_key,
     constraints_to_json_dict,
     document_to_json_dict,
@@ -245,8 +246,10 @@ def vertices(source, as_json, digits, margins, output):
         click.echo(json.dumps(payload, indent=2, ensure_ascii=False))
     else:
         click.echo(f"n = {len(V)} extreme pmfs, polytope dimension {dim}")
+        # each cell rounded exactly, as in the JSON "decimals", with _fmt's trailing zeros stripped
         for idx, v in enumerate(V.vertices, start=1):
-            click.echo(f"  r{idx}: " + " ".join(_fmt(float(c), max(3, digits)) for c in v.cells))
+            cells = (_decimal_str(c, max(3, digits)).rstrip("0").rstrip(".") for c in v.cells)
+            click.echo(f"  r{idx}: " + " ".join(cells))
         if output:
             click.echo(f"wrote {output}")
 

@@ -46,7 +46,7 @@ from .errors import (
     InfeasibleTargetsError,
     UnsupportedTargetError,
 )
-from .table import FLOAT, RATIONAL, Pmf, Scalar, _bit, all_pairs, marginal_odds_ratio, univariate_margin
+from .table import FLOAT, RATIONAL, Pmf, Scalar, _bit, _classified_ratio, all_pairs
 
 #: Default decimal precision at which moment targets are rationalized.
 DEFAULT_DIGITS = 6
@@ -207,9 +207,18 @@ def targets_from_pmf(p: Pmf, digits: int = DEFAULT_DIGITS, margins: str = UNIFOR
     if margins not in (UNIFORM, OBSERVED):
         raise DomainError(f"margins must be '{UNIFORM}' or '{OBSERVED}', got {margins!r}")
     q = p.to_rational() if p.mode == FLOAT else p
+    # odds ratios and margins are scale-free: sum the integer cells of L q,
+    # with L the common denominator, instead of 2^d Fractions per pair
+    L = math.lcm(*(c.denominator for c in q.cells))
+    counts = np.array([c.numerator * (L // c.denominator) for c in q.cells], dtype=object).reshape((2,) * q.d)
+
+    def margin(*axes):
+        return counts.sum(axis=tuple(a for a in range(q.d) if a + 1 not in axes)).tolist()
+
     omegas = {}
     for (i, j) in all_pairs(q.d):
-        omega = marginal_odds_ratio(q, i, j)
+        (n00, n01), (n10, n11) = margin(i, j)
+        omega = _classified_ratio(Fraction(n11 * n00), Fraction(n10 * n01))
         if isinstance(omega, float) and (math.isinf(omega) or math.isnan(omega)):
             kind = "infinite" if math.isinf(omega) else "undefined"
             raise UnsupportedTargetError(
@@ -225,7 +234,7 @@ def targets_from_pmf(p: Pmf, digits: int = DEFAULT_DIGITS, margins: str = UNIFOR
     if margins == UNIFORM:
         uni = (Fraction(1, 2),) * q.d
     else:
-        uni = tuple(univariate_margin(q, i)[1] for i in range(1, q.d + 1))
+        uni = tuple(Fraction(margin(i)[1], L) for i in range(1, q.d + 1))
     moments = {
         (i, j): moment_for_margins(omega, uni[i - 1], uni[j - 1], digits)
         for (i, j), omega in omegas.items()

@@ -81,6 +81,10 @@ vertices stably.  Every reader uses the keys; the vertex pmfs (one
 ``Fraction(k, L)`` per distinct entry k, without per-pmf validation) and
 the float matrix (each entry the correctly rounded ``k / L``) are built
 from them once, on first access.
+
+:func:`decompose` proposes a support with a numpy Lawson-Hanson
+nonnegative least-squares solver (:func:`_nnls`) and certifies it exactly
+over the integer keys.
 """
 
 from __future__ import annotations
@@ -379,15 +383,75 @@ def mixture(weights: Union[MixtureWeights, Sequence], V: VertexSet) -> Pmf:
     return Pmf(d=d, cells=cells, mode=FLOAT)
 
 
+def _nnls(A: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None) -> np.ndarray:
+    """Nonnegative least squares ``min ||A x - b||, x >= 0`` (Lawson & Hanson, 1974).
+
+    The active-set method: the outer loop frees the column of largest
+    gradient ``w = A^T (b - A x)``; the inner loop steps back along the
+    segment towards the passive-set solution while that has a nonpositive
+    entry, dropping the entries it zeroes.  Each passive-set subproblem is
+    solved on the Gram matrix ``A^T A`` and falls back to ``lstsq`` on the
+    passive columns when its block is singular.  Every solve counts against
+    ``max_iter`` (default ``3 n``); at the cap the current iterate is
+    returned, so the solver always returns a nonnegative ``x``.
+    """
+    m, n = A.shape
+    gram = A.T @ A
+    Atb = A.T @ b
+    tol = 10 * max(m, n) * np.finfo(float).eps * max(1.0, float(gram.diagonal().max(initial=0)))
+    budget = 3 * n if max_iter is None else max_iter
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    w = Atb
+
+    def solve(target: np.ndarray) -> np.ndarray:
+        """Least-squares solution of ``A[:, passive] s = target``, zero off the passive set."""
+        s = np.zeros(n)
+        idx = np.flatnonzero(passive)
+        try:
+            s[idx] = np.linalg.solve(gram[idx[:, None], idx], target @ A[:, idx])
+        except np.linalg.LinAlgError:
+            s[idx] = np.linalg.lstsq(A[:, idx], target, rcond=None)[0]
+        return s
+
+    while budget > 0:
+        j = int(np.argmax(np.where(passive, -np.inf, w)))
+        if passive[j] or w[j] <= tol:
+            break
+        passive[j] = True
+        s = solve(b)
+        budget -= 1
+        while passive.any() and s[passive].min() <= 0:
+            if budget == 0:
+                return x
+            neg = passive & (s <= 0)
+            # x > 0 on the passive set but for the new column, where s <= 0 makes the step 0
+            alpha = np.min(x[neg] / np.maximum(x[neg] - s[neg], np.finfo(float).tiny))
+            x = x + alpha * (s - x)
+            passive &= x > tol
+            x[~passive] = 0
+            s = solve(b)
+            budget -= 1
+        x = s
+        w = Atb - gram @ x
+    # one correction from the residual of A itself (the corrected seminormal
+    # equations) brings the Gram solution to the accuracy of a QR solve
+    refined = x + solve(b - A @ x)
+    return refined if (refined[passive] > 0).all() else x
+
+
 def decompose(p: Pmf, V: VertexSet, tol: float = 1e-9) -> MixtureWeights:
     """Mixture weights reproducing ``p`` over the vertex set.
 
-    A nonnegative least-squares fit (Lawson & Hanson) of ``[V; 1] theta =
-    [p; 1]`` proposes the weights.  When ``p`` is rational, the system on
-    the proposed support is solved exactly over the integer keys, and a
-    consistent, nonnegative solution, which proves membership, is returned
-    as exact weights.  Otherwise the renormalized float fit is returned when
-    its max-norm residual is within ``tol``.  Beyond segments the
+    A nonnegative least-squares fit of ``[V; 1] theta = [p; 1]`` by the
+    numpy active-set solver :func:`_nnls` (Lawson & Hanson, at most 3n
+    passive-set solves for n vertices) proposes the weights; it only
+    proposes, so a fit stopped at that cap still ends in exact weights or
+    the error below.  When ``p`` is rational, the system on the proposed
+    support is solved exactly over the integer keys, and a consistent,
+    nonnegative solution, which proves membership, is returned as exact
+    weights.  Otherwise the renormalized float fit is returned when its
+    max-norm residual is within ``tol``.  Beyond segments the
     representation need not be unique; the answer is the certified
     least-squares support, not a canonical choice.
 
@@ -404,13 +468,11 @@ def decompose(p: Pmf, V: VertexSet, tol: float = 1e-9) -> MixtureWeights:
     if p.d != d:
         raise DimensionMismatchError(f"pmf dimension {p.d} != vertex dimension {d}")
 
-    from scipy.optimize import nnls  # imported here: it dominates the import time of bintab
-
     A = V.float_matrix.T
     A_aug = np.vstack([A, np.ones((1, n_d))])
     b_aug = np.concatenate([np.array(float_cells(p)), [1.0]])
     # theta is never 0: at 0, raising any weight lowers the residual, since v.p + 1 > 0
-    theta, _ = nnls(A_aug, b_aug)
+    theta = _nnls(A_aug, b_aug)
     support = np.flatnonzero(theta > 0).tolist()
     if p.mode == RATIONAL:
         # keys[j] = L v_j, so sum_j theta_j keys[j] = L p, next to sum_j theta_j = 1

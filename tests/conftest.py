@@ -9,10 +9,12 @@ machinery, and the package's integer elimination is checked against them.
 
 from __future__ import annotations
 
+import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,13 @@ def water():
 @pytest.fixture(scope="session")
 def raters():
     return builtin_pmf("raters")
+
+
+@pytest.fixture(scope="session")
+def pool_pmfs():
+    """The 32 random positive d=4 tables of the benchmark's ``golden.json`` pool."""
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    return [Pmf.from_counts(counts) for counts in json.loads(golden.read_text())["pool"]]
 
 
 @pytest.fixture(scope="session")

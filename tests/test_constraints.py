@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +143,20 @@ class TestMomentOracles:
                 pair: reference_uniform_moment(omega, digits) for pair, omega in ratios.items()
             }
 
+    @pytest.mark.parametrize("digits", [2, 3, 6, 20])
+    def test_pool_and_builtins_on_rational_and_float_input(self, pool_pmfs, example1, water, raters, digits):
+        # the package sums integer cells per pair; the oracles sum the Fraction cells
+        for p in (*pool_pmfs, example1, water, raters):
+            for source in (p, p.to_float()):
+                q = source.to_rational()
+                observed = targets_from_pmf(source, digits=digits, margins="observed")
+                assert (observed.univariate, observed.moments) == reference_observed_targets(q.cells, digits)
+                uniform = targets_from_pmf(source, digits=digits)
+                assert uniform.moments == {
+                    pair: reference_uniform_moment(marginal_odds_ratio(q, *pair), digits)
+                    for pair in uniform.moments
+                }
+
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         st.integers(2, 4).flatmap(
@@ -240,6 +255,22 @@ class TestTargetsFromPmf:
         )
         with pytest.raises(UnsupportedTargetError):
             targets_from_pmf(p, digits=3)
+
+    @pytest.mark.parametrize("margins", ["uniform", "observed"])
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([1, 0, 0, 1], "pair (1,2) is infinite; targets are not defined"),
+            ([0, 0, 1, 1], "pair (1,2) is undefined; targets are not defined"),
+            ([0, 1, 1, 0], "pair (1,2) is 0; targets require a positive ratio"),
+            ([1, 1, 1, 1, 1, 0, 1, 0], "pair (1,3) is 0; targets require a positive ratio"),
+        ],
+    )
+    def test_zero_cell_messages(self, counts, message, margins):
+        p = Pmf.from_counts(counts)
+        for source in (p, p.to_float()):
+            with pytest.raises(UnsupportedTargetError, match=re.escape(message)):
+                targets_from_pmf(source, digits=3, margins=margins)
 
 
 class TestMarginTargets:

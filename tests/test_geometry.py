@@ -1,5 +1,6 @@
 """Vertex enumeration, mixtures, and decomposition."""
 
+import functools
 import json
 import logging
 import math
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from bintab import (
     ConstraintMatrix,
@@ -659,3 +661,75 @@ class TestDecompose:
         reduced = type(V)(keys=V.keys[1:], scale=V.scale, constraints=V.constraints)
         with pytest.raises(NotInPolytopeError):
             decompose(target.to_float(), reduced, tol=1e-6)
+
+
+class TestNnls:
+    """The Lawson-Hanson proposer, with scipy's solver as a test-only oracle."""
+
+    def test_kkt_and_residual_match_scipy(self):
+        rng = np.random.default_rng(18)
+        for trial in range(200):
+            m, n = int(rng.integers(1, 34)), int(rng.integers(1, 301))
+            if trial % 10 == 9:  # rank-deficient: every column a combination of 3
+                A = rng.random((m, 3)) @ rng.random((3, n))
+            elif trial % 2:
+                A = rng.random((m, n))
+            else:
+                A = rng.standard_normal((m, n))
+            b = rng.standard_normal(m) if trial % 3 == 0 else rng.random(m)
+            x = geometry._nnls(A, b)
+            w = A.T @ (b - A @ x)
+            support = x > 0
+            assert (x >= 0).all()
+            assert (w[~support] <= 1e-9).all()
+            assert (np.abs(w[support]) <= 1e-9).all()
+            assert abs(np.linalg.norm(A @ x - b) - nnls(A, b)[1]) <= 1e-10
+
+    def test_cap_returns_the_current_iterate(self):
+        rng = np.random.default_rng(5)
+        A, b = rng.random((17, 40)), rng.random(17)
+        x = geometry._nnls(A, b, max_iter=1)
+        assert (x >= 0).all() and np.count_nonzero(x) == 1
+
+
+class TestDecomposeProposals:
+    def test_vertices_and_three_vertex_mixtures_are_exact(self, water, pool_pmfs):
+        # 180 seeded rational mixtures of 3 vertices over water and pool tables 0-7
+        rng = random.Random(180)
+        for p in (water, *pool_pmfs[:8]):
+            V = enumerate_vertices(build_H(targets_from_pmf(p, digits=3)))
+            for i, v in enumerate(V.vertices):
+                assert decompose(v, V).theta == tuple(F(int(i == j)) for j in range(len(V)))
+            for _ in range(20):
+                theta = [F(0)] * len(V)
+                raw = [rng.randint(1, 20) for _ in range(3)]
+                for index, r in zip(rng.sample(range(len(V)), 3), raw):
+                    theta[index] = F(r, sum(raw))
+                point = mixture(MixtureWeights(tuple(theta)), V)
+                weights = decompose(point, V)
+                assert all(type(t) is Fraction for t in weights.theta)
+                assert mixture(weights, V) == point
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_capped_proposer_gives_exact_weights_or_refuses(self, monkeypatch, water, max_iter):
+        V = enumerate_vertices(build_H(targets_from_pmf(water, digits=3)))
+        monkeypatch.setattr(geometry, "_nnls", functools.partial(geometry._nnls, max_iter=max_iter))
+        rng = random.Random(max_iter)
+        points = [V.vertices[0], V.vertices[50].to_float(), water]
+        for _ in range(10):
+            theta = [F(0)] * len(V)
+            for index in rng.sample(range(len(V)), 3):
+                theta[index] = F(1, 3)
+            points.append(mixture(MixtureWeights(tuple(theta)), V))
+        refused = 0
+        for point in points:
+            try:
+                weights = decompose(point, V)
+            except NotInPolytopeError:
+                refused += 1
+                continue
+            if point.mode == "rational":
+                assert mixture(weights, V) == point
+            else:
+                assert max(abs(a - b) for a, b in zip(mixture(weights, V).cells, point.cells)) <= 1e-9
+        assert 0 < refused < len(points)

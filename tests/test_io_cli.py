@@ -1,5 +1,6 @@
 """Table documents, serialization round trips, and the command-line surface."""
 
+import hashlib
 import json
 import math
 import os
@@ -182,6 +183,30 @@ class TestDecimalRenderings:
         for vertex in obj.get("vertices", []):
             pairs += zip(vertex["decimals"], vertex["cells"])
         assert all(F(decimal) == F(rational) for decimal, rational in pairs)
+
+    def test_vertices_text_is_exact_at_digits_20(self, runner, example1):
+        result = runner.invoke(main, ["vertices", "builtin:example1", "--digits", "20"])
+        assert result.exit_code == 0, result.output
+        printed = [[F(cell) for cell in line.split(":")[1].split()] for line in result.output.splitlines()[1:]]
+        V = enumerate_vertices(build_H(targets_from_pmf(example1, digits=20)))
+        assert printed == [list(v.cells) for v in V.vertices]
+
+    @pytest.mark.parametrize(
+        "name, digits, sha256",
+        [
+            ("example1", 3, "6edbab81806f568eb62936fab120cbb44da258c1b879d7d217eec023071b8909"),
+            ("example1", 6, "14e4284b88a34bba1abdf40137b1742922dffe3528fcc44230bebe58fd2ba52e"),
+            ("water", 3, "a4e6696e0759b48c5f8dfc366a88f3a7a56eea28dd7997be2781492f0cec7702"),
+            ("water", 6, "253adda861ae0bae985d1b3f9501abcacb0889d25e397a461ce7aa87a537064b"),
+            ("raters", 3, "1eab7f39fd23d546b21e83f8f813fff452eb4f7973f5491851d3a317795f2bfa"),
+            ("raters", 6, "cabe53e2fcd4022d1147293720afd7fc34ba679f57db45d09d3a15100d1953dc"),
+        ],
+    )
+    def test_vertices_text_bytes_at_low_digits(self, runner, name, digits, sha256):
+        # the exact rendering prints what float formatting printed wherever a double carries the digits
+        result = runner.invoke(main, ["vertices", f"builtin:{name}", "--digits", str(digits)])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
 
     def test_ties_round_as_float_formatting_does(self, water):
         # water's digits-6 vertices have half-way cells: 0.1115335 renders down and
@@ -649,3 +674,37 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+DECOMPOSE_WITHOUT_SCIPY = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from fractions import Fraction
+import bintab
+from bintab.datasets import builtin_pmf
+
+V = bintab.enumerate_vertices(bintab.build_H(bintab.targets_from_pmf(builtin_pmf("water"), digits=3)))
+theta = [Fraction(0)] * len(V)
+theta[3], theta[40], theta[77] = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+point = bintab.mixture(theta, V)
+weights = bintab.decompose(point, V)
+assert all(type(t) is Fraction for t in weights.theta) and bintab.mixture(weights, V) == point
+targets = bintab.targets_from_pmf(builtin_pmf("raters"), digits=3)
+table = bintab.ipf_max_entropy(targets).table
+weights = bintab.decompose(table, bintab.enumerate_vertices(bintab.build_H(targets)), tol=1e-7)
+assert all(type(t) is float for t in weights.theta)
+print("scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("scipy_import", ["blocked", "allowed"])
+def test_decompose_runs_without_scipy(scipy_import):
+    # rational (exact certificate) and float (IPF table) inputs; scipy is only a test dependency
+    src = str(Path(bintab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", DECOMPOSE_WITHOUT_SCIPY, scipy_import],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == str(scipy_import == "blocked")
