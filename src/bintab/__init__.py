@@ -5,111 +5,90 @@ second-order-moment targets from its pairwise marginal odds ratios, builds
 the corresponding linear constraint system, enumerates the extreme pmfs of
 the feasible polytope exactly, and offers mixture, log-linear, sampling,
 and maximum-entropy baseline operations on that set.
+
+``import bintab`` loads no submodule: each public name, and each submodule
+(``bintab.geometry``), is imported on first access (PEP 562), so a caller
+that needs only the exact statistics never loads numpy.
 """
 
-from .constraints import (
-    DEFAULT_DIGITS,
-    ConstraintMatrix,
-    MarginTargets,
-    build_H,
-    moment_for_margins,
-    moment_from_odds_ratio,
-    residual,
-    satisfies,
-    targets_from_pmf,
-)
-from .errors import (
-    BintabError,
-    DegenerateMarginError,
-    DimensionMismatchError,
-    DomainError,
-    EmptyFeasibleSetError,
-    InfeasibleTargetsError,
-    NotInPolytopeError,
-    TableParseError,
-    UnsupportedTargetError,
-)
-from .geometry import (
-    MixtureWeights,
-    VertexSet,
-    decompose,
-    enumerate_vertices,
-    mixture,
-    polytope_dimension,
-)
-from .ipf import IpfReport, ipf_max_entropy
-from .loglinear import (
-    DEFAULT_EPS,
-    LogLinearParams,
-    corner_params,
-    reconstruct,
-    zero_mean_params,
-)
-from .sampling import SamplerConfig, sample_dirichlet, sample_hit_and_run
-from .table import (
-    BivariateMargin,
-    Pmf,
-    all_pairs,
-    bivariate_margin,
-    cell_index,
-    conditional_odds_ratio,
-    configuration,
-    correlation,
-    marginal_odds_ratio,
-    reflect,
-    second_order_moment,
-    top_order_odds_ratio,
-    univariate_margin,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BintabError",
-    "BivariateMargin",
-    "ConstraintMatrix",
-    "DEFAULT_DIGITS",
-    "DEFAULT_EPS",
-    "DegenerateMarginError",
-    "DimensionMismatchError",
-    "DomainError",
-    "EmptyFeasibleSetError",
-    "InfeasibleTargetsError",
-    "IpfReport",
-    "LogLinearParams",
-    "MarginTargets",
-    "MixtureWeights",
-    "NotInPolytopeError",
-    "Pmf",
-    "SamplerConfig",
-    "TableParseError",
-    "UnsupportedTargetError",
-    "VertexSet",
-    "all_pairs",
-    "bivariate_margin",
-    "build_H",
-    "cell_index",
-    "conditional_odds_ratio",
-    "configuration",
-    "correlation",
-    "decompose",
-    "enumerate_vertices",
-    "ipf_max_entropy",
-    "marginal_odds_ratio",
-    "mixture",
-    "moment_for_margins",
-    "moment_from_odds_ratio",
-    "polytope_dimension",
-    "reconstruct",
-    "reflect",
-    "residual",
-    "sample_dirichlet",
-    "sample_hit_and_run",
-    "satisfies",
-    "second_order_moment",
-    "targets_from_pmf",
-    "top_order_odds_ratio",
-    "univariate_margin",
-    "zero_mean_params",
-    "corner_params",
-]
+_EXPORTS = {
+    "constraints": (
+        "DEFAULT_DIGITS",
+        "ConstraintMatrix",
+        "MarginTargets",
+        "build_H",
+        "moment_for_margins",
+        "moment_from_odds_ratio",
+        "residual",
+        "satisfies",
+        "targets_from_pmf",
+    ),
+    "errors": (
+        "BintabError",
+        "DegenerateMarginError",
+        "DimensionMismatchError",
+        "DomainError",
+        "EmptyFeasibleSetError",
+        "InfeasibleTargetsError",
+        "NotInPolytopeError",
+        "TableParseError",
+        "UnsupportedTargetError",
+    ),
+    "geometry": (
+        "MixtureWeights",
+        "VertexSet",
+        "decompose",
+        "enumerate_vertices",
+        "mixture",
+        "polytope_dimension",
+    ),
+    "ipf": ("IpfReport", "ipf_max_entropy"),
+    "loglinear": (
+        "DEFAULT_EPS",
+        "LogLinearParams",
+        "corner_params",
+        "reconstruct",
+        "zero_mean_params",
+    ),
+    "sampling": ("SamplerConfig", "sample_dirichlet", "sample_hit_and_run"),
+    "table": (
+        "BivariateMargin",
+        "Pmf",
+        "all_pairs",
+        "bivariate_margin",
+        "cell_index",
+        "conditional_odds_ratio",
+        "configuration",
+        "correlation",
+        "marginal_odds_ratio",
+        "reflect",
+        "second_order_moment",
+        "top_order_odds_ratio",
+        "univariate_margin",
+    ),
+}
+
+#: public name -> the submodule that defines it
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+_SUBMODULES = ("_linalg", "cli", "datasets", "io", "reproduce", *_EXPORTS)
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

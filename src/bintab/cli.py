@@ -3,6 +3,10 @@
 Every pipeline stage is a subcommand; tables come from ``builtin:<name>``
 (example1, water, raters) or from JSON/CSV files.  Exit codes: 0 success,
 2 infeasible targets or empty polytope, 3 parse error, 4 domain error.
+
+The numpy-backed modules (geometry, ipf, sampling) are imported inside the
+subcommands that call them, so analyze, targets, constraints and loglinear
+run without loading numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import click
 from . import __version__, datasets
 from .constraints import (
     DEFAULT_DIGITS,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     OBSERVED,
     UNIFORM,
     MarginTargets,
@@ -30,14 +36,6 @@ from .errors import (
     InfeasibleTargetsError,
     NotInPolytopeError,
     TableParseError,
-)
-from .geometry import (
-    MixtureWeights,
-    _relative_interior,
-    _require_nonempty,
-    decompose as geometry_decompose,
-    enumerate_vertices,
-    mixture as geometry_mixture,
 )
 from .io import (
     _decimal_str,
@@ -52,9 +50,7 @@ from .io import (
     vertexset_from_json,
     vertexset_to_json_dict,
 )
-from .ipf import DEFAULT_MAX_ITER, DEFAULT_TOL, ipf_max_entropy
 from .loglinear import CORNER, DEFAULT_EPS, ZERO_MEAN, corner_params, zero_mean_params
-from .sampling import SamplerConfig, sample_dirichlet, sample_hit_and_run
 from .table import (
     FLOAT,
     RATIONAL,
@@ -114,6 +110,13 @@ def _load_pmf(source: str, precision_mode: str) -> Pmf:
 
 def _load_targets(source: str, digits: int, margins: str) -> MarginTargets:
     return targets_from_pmf(_load_pmf(source, RATIONAL), digits=digits, margins=margins)
+
+
+def _load_vertices(vertex_file: str):
+    path = Path(vertex_file)
+    if not path.exists():
+        raise TableParseError(f"no such vertex file: {vertex_file}")
+    return vertexset_from_json(path.read_text())
 
 
 _input_argument = click.argument("source", metavar="INPUT")
@@ -235,6 +238,8 @@ def constraints(source, as_json, digits, margins):
 @_exit_on_errors
 def vertices(source, as_json, digits, margins, output):
     """Enumerate the extreme pmfs of the feasible polytope."""
+    from .geometry import _require_nonempty, enumerate_vertices
+
     V = enumerate_vertices(build_H(_load_targets(source, digits, margins)))
     _require_nonempty(V)
     dim = V.dimension
@@ -255,14 +260,16 @@ def vertices(source, as_json, digits, margins, output):
 
 
 @main.command()
-@click.argument("vertex_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("vertex_file", type=click.Path(dir_okay=False))
 @click.option("--weights", required=True, help="Comma-separated weights, e.g. '1/2,1/2' or '0.3,0.7'.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), help="Write the mixed table JSON here.")
 @_json_flag
 @_exit_on_errors
 def mixture(vertex_file, weights, output, as_json):
     """Convex combination of an enumerated vertex set."""
-    V = vertexset_from_json(Path(vertex_file).read_text())
+    from .geometry import MixtureWeights, mixture as geometry_mixture
+
+    V = _load_vertices(vertex_file)
     theta = MixtureWeights(tuple(parse_rational(w) for w in weights.split(",")))
     mixed = geometry_mixture(theta, V)
     doc = document_to_json_dict(pmf_to_document(mixed))
@@ -276,13 +283,15 @@ def mixture(vertex_file, weights, output, as_json):
 
 
 @main.command()
-@click.argument("vertex_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("vertex_file", type=click.Path(dir_okay=False))
 @_input_argument
 @click.option("--tol", default=1e-9, show_default=True, help="Max-norm membership tolerance.")
 @_exit_on_errors
 def decompose(vertex_file, source, tol):
     """Mixture weights representing a table over a vertex set."""
-    V = vertexset_from_json(Path(vertex_file).read_text())
+    from .geometry import decompose as geometry_decompose
+
+    V = _load_vertices(vertex_file)
     pmf = _load_pmf(source, RATIONAL)
     weights = geometry_decompose(pmf, V, tol=tol)
     click.echo(json.dumps({
@@ -332,6 +341,9 @@ def loglinear(source, parametrization, eps, as_json):
 @_exit_on_errors
 def sample(source, method, count, seed, burn_in, thinning, digits, margins, output):
     """Draw feasible pmfs (JSON-lines: one header record, then one pmf per line)."""
+    from .geometry import _relative_interior, _require_nonempty, enumerate_vertices
+    from .sampling import SamplerConfig, sample_dirichlet, sample_hit_and_run
+
     H = build_H(_load_targets(source, digits, margins))
     cfg = SamplerConfig(seed=seed, count=count, burn_in=burn_in, thinning=thinning)
     if method == "dirichlet":
@@ -365,6 +377,8 @@ def sample(source, method, count, seed, burn_in, thinning, digits, margins, outp
 @_exit_on_errors
 def ipf(source, as_json, digits, margins, tol, max_iter):
     """Maximum-entropy table for a table's targets, via proportional fitting."""
+    from .ipf import ipf_max_entropy
+
     report = ipf_max_entropy(_load_targets(source, digits, margins), tol=tol, max_iter=max_iter)
     top = top_order_odds_ratio(report.table)
     if as_json:

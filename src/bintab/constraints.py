@@ -35,11 +35,9 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from itertools import compress
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-import numpy as np
-
-from ._linalg import _exact, _integer_rows, _max_abs
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -48,8 +46,16 @@ from .errors import (
 )
 from .table import FLOAT, RATIONAL, Pmf, Scalar, _bit, _classified_ratio, all_pairs
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Default decimal precision at which moment targets are rationalized.
 DEFAULT_DIGITS = 6
+
+#: Default tolerance and sweep cap of :func:`bintab.ipf.ipf_max_entropy`; kept
+#: here, in a module free of numpy, so the CLI reads them without loading it.
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 50_000
 
 UNIFORM = "uniform"
 OBSERVED = "observed"
@@ -196,6 +202,12 @@ class MarginTargets:
         return (1 - a - b + mu, b - mu, a - mu, mu)
 
 
+@functools.lru_cache(maxsize=256)
+def _all_ones(d: int, *axes: int) -> Tuple[bool, ...]:
+    """Per cell of a d-way table, whether every axis in ``axes`` is 1 there."""
+    return tuple(all(_bit(k, d, i) for i in axes) for k in range(2**d))
+
+
 def targets_from_pmf(p: Pmf, digits: int = DEFAULT_DIGITS, margins: str = UNIFORM) -> MarginTargets:
     """Derive dependence targets from an observed table.
 
@@ -208,16 +220,16 @@ def targets_from_pmf(p: Pmf, digits: int = DEFAULT_DIGITS, margins: str = UNIFOR
         raise DomainError(f"margins must be '{UNIFORM}' or '{OBSERVED}', got {margins!r}")
     q = p.to_rational() if p.mode == FLOAT else p
     # odds ratios and margins are scale-free: sum the integer cells of L q,
-    # with L the common denominator, instead of 2^d Fractions per pair
+    # with L the common denominator (so they sum to L), instead of Fractions
     L = math.lcm(*(c.denominator for c in q.cells))
-    counts = np.array([c.numerator * (L // c.denominator) for c in q.cells], dtype=object).reshape((2,) * q.d)
-
-    def margin(*axes):
-        return counts.sum(axis=tuple(a for a in range(q.d) if a + 1 not in axes)).tolist()
+    counts = [c.numerator * (L // c.denominator) for c in q.cells]
+    ones = [sum(compress(counts, _all_ones(q.d, i))) for i in range(1, q.d + 1)]
 
     omegas = {}
     for (i, j) in all_pairs(q.d):
-        (n00, n01), (n10, n11) = margin(i, j)
+        n11 = sum(compress(counts, _all_ones(q.d, i, j)))
+        n10, n01 = ones[i - 1] - n11, ones[j - 1] - n11
+        n00 = L - n11 - n10 - n01
         omega = _classified_ratio(Fraction(n11 * n00), Fraction(n10 * n01))
         if isinstance(omega, float) and (math.isinf(omega) or math.isnan(omega)):
             kind = "infinite" if math.isinf(omega) else "undefined"
@@ -234,7 +246,7 @@ def targets_from_pmf(p: Pmf, digits: int = DEFAULT_DIGITS, margins: str = UNIFOR
     if margins == UNIFORM:
         uni = (Fraction(1, 2),) * q.d
     else:
-        uni = tuple(Fraction(margin(i)[1], L) for i in range(1, q.d + 1))
+        uni = tuple(Fraction(n1, L) for n1 in ones)
     moments = {
         (i, j): moment_for_margins(omega, uni[i - 1], uni[j - 1], digits)
         for (i, j), omega in omegas.items()
@@ -269,6 +281,10 @@ class ConstraintMatrix:
     @functools.cached_property
     def int_rows(self) -> np.ndarray:
         """The rows as primitive integers, read-only: int64 below the ``_exact`` bound, else Python ints."""
+        import numpy as np
+
+        from ._linalg import _exact, _integer_rows, _max_abs
+
         rows = np.array(_integer_rows(self.rows), dtype=object).reshape(self.n_rows, self.n_cols)
         (rows,) = _exact(_max_abs(rows), rows)
         rows.flags.writeable = False

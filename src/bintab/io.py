@@ -20,17 +20,16 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from ._linalg import _exact, _max_abs
-from .constraints import ConstraintMatrix, MarginTargets
+from .constraints import ConstraintMatrix, MarginTargets, build_H
 from .datasets import BUILTIN_NAMES, builtin_labels, builtin_pmf
 from .errors import DomainError, TableParseError
-from .geometry import VertexSet
-from .loglinear import LogLinearParams
 from .table import RATIONAL, Pmf, cell_index
+
+if TYPE_CHECKING:  # numpy loads with geometry, only where vertex sets are read
+    from .geometry import VertexSet
+    from .loglinear import LogLinearParams
 
 COUNTS = "counts"
 PROBABILITIES = "probabilities"
@@ -298,7 +297,10 @@ def targets_from_json_dict(obj: dict) -> MarginTargets:
 
 
 def vertexset_from_json(text: str) -> VertexSet:
-    from .constraints import build_H
+    import numpy as np
+
+    from ._linalg import _exact, _max_abs
+    from .geometry import VertexSet
 
     try:
         obj = json.loads(text)

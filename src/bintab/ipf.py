@@ -22,13 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import MarginTargets, build_H
+from .constraints import DEFAULT_MAX_ITER, DEFAULT_TOL, MarginTargets, build_H
 from .errors import DomainError
 from .geometry import _relative_interior
 from .table import FLOAT, Pmf, all_pairs
-
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 50_000
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,9 @@ class SamplerConfig:
     thinning: int = 10
 
     def __post_init__(self):
+        # Philox takes any nonnegative int; a bool is an int subclass but no seed
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.count < 1:
             raise DomainError(f"count must be >= 1, got {self.count}")
         if self.burn_in < 0 or self.thinning < 0:

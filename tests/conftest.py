@@ -308,6 +308,32 @@ def reference_observed_targets(cells, digits):
     return uni, moments
 
 
+def reference_targets(cells, digits, margins):
+    """``(univariate, moments)`` of a table's targets, or None when some pair has no finite positive odds ratio.
+
+    Each pair's 2x2 margin is summed cell by cell as Fractions, and its
+    odds ratio is m11 m00 / (m10 m01), finite and positive exactly when all
+    four entries are.  Observed targets are the pair's own m11, rounded and
+    clamped (:func:`reference_moment_from_root`); uniform targets come from
+    the closed form (:func:`reference_uniform_moment`).
+    """
+    d = len(cells).bit_length() - 1
+    total = sum(F(c) for c in cells)
+    uni = tuple(F(sum(F(c) for k, c in enumerate(cells) if (k >> (d - i)) & 1), total) for i in range(1, d + 1))
+    moments = {}
+    for i, j in combinations(range(1, d + 1), 2):
+        m = {(a, b): F(0) for a in (0, 1) for b in (0, 1)}
+        for k, c in enumerate(cells):
+            m[(k >> (d - i)) & 1, (k >> (d - j)) & 1] += F(c) / total
+        if min(m.values()) == 0:
+            return None
+        if margins == "uniform":
+            moments[(i, j)] = reference_uniform_moment(m[1, 1] * m[0, 0] / (m[1, 0] * m[0, 1]), digits)
+        else:
+            moments[(i, j)] = reference_moment_from_root(m[1, 1], uni[i - 1], uni[j - 1], digits)
+    return ((F(1, 2),) * d if margins == "uniform" else uni), moments
+
+
 def reference_uniform_moment(omega, digits) -> Fraction:
     """``sqrt(omega) / (2 (sqrt(omega) + 1))`` rounded half up to ``digits`` decimals.
 

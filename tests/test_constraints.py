@@ -31,6 +31,7 @@ from conftest import (
     reference_observed_targets,
     reference_primitive_row,
     reference_rank,
+    reference_targets,
     reference_uniform_moment,
 )
 
@@ -156,6 +157,29 @@ class TestMomentOracles:
                     pair: reference_uniform_moment(marginal_odds_ratio(q, *pair), digits)
                     for pair in uniform.moments
                 }
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_random_tables_with_zero_cells(self, d):
+        # counts across 12 orders of magnitude; some tables have a pair margin
+        # with a zero entry, whose odds ratio is 0, infinite or undefined
+        rng = random.Random(1900 + d)
+        refused = 0
+        for _ in range(12):
+            zero_share = rng.choice([0, 0.2, 0.5, 0.9, 0.98])
+            counts = [0 if rng.random() < zero_share else rng.randint(1, 10 ** rng.randint(1, 12)) for _ in range(2**d)]
+            counts[rng.randrange(2**d)] += 1
+            p = Pmf.from_counts(counts)
+            for margins in ("uniform", "observed"):
+                digits = rng.choice([0, 2, 3, 6, 20])
+                expected = reference_targets(p.cells, digits, margins)
+                if expected is None:
+                    refused += 1
+                    with pytest.raises(UnsupportedTargetError):
+                        targets_from_pmf(p, digits=digits, margins=margins)
+                    continue
+                targets = targets_from_pmf(p, digits=digits, margins=margins)
+                assert (targets.univariate, targets.moments) == expected
+        assert 0 < refused < 24, refused
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(

@@ -532,6 +532,17 @@ class TestCliPipelines:
         result = runner.invoke(main, ["mixture", str(vertex_file), "--weights", weights])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["mixture", "no/such/v.json", "--weights", "1"], ["decompose", "no/such/v.json", "builtin:water"]],
+        ids=["mixture", "decompose"],
+    )
+    def test_missing_vertex_file_exit_code(self, runner, argv):
+        # a parse error, as for a missing table, not click's usage error (exit 2 means infeasible)
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 3, result.output
+        assert "error: no such vertex file: no/such/v.json" in result.output
+
     def test_decompose_outside_polytope(self, runner, tmp_path):
         vertex_file = tmp_path / "vertices.json"
         runner.invoke(
@@ -615,6 +626,14 @@ class TestCliPipelines:
         header = json.loads(out1.read_text().splitlines()[0])
         assert header["seed"] == 9 and header["method"] == "hitrun"
 
+    @pytest.mark.parametrize("method", ["dirichlet", "hitrun"])
+    def test_sample_negative_seed_exit_code(self, runner, method):
+        result = runner.invoke(
+            main, ["sample", "builtin:water", "--method", method, "--seed", "-1", "--count", "1"]
+        )
+        assert result.exit_code == 4, result.output
+        assert "error: seed must be a nonnegative integer, got -1" in result.output
+
     def test_sample_stdout_jsonl(self, runner):
         result = runner.invoke(
             main, ["sample", "builtin:example1", "--digits", "3", "--count", "3", "--seed", "1"]
@@ -664,16 +683,87 @@ def test_package_version_has_one_source():
     assert config["project"]["version"] == bintab.__version__
 
 
+def _run_child(code, *args):
+    """stdout of ``python -c code args`` on this checkout's sources, in a fresh interpreter."""
+    src = str(Path(bintab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs most of the CLI's start-up; only decompose's
     # least-squares proposal needs it
-    src = str(Path(bintab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, bintab.cli; print('scipy.optimize' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _run_child(code).strip() == "False"
+
+
+EXACT_SUBCOMMAND = """
+import sys
+from bintab.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    assert exc.code in (0, None), exc.code
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "builtin:example1", "--json"],
+        ["targets", "builtin:water", "--digits", "3", "--margins", "observed", "--json"],
+        ["constraints", "builtin:raters", "--json"],
+        ["loglinear", "builtin:raters", "--parametrization", "corner", "--json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_exact_subcommands_leave_numpy_unloaded(argv):
+    # exact rational work and the log-linear views need no numpy, so their
+    # processes do not pay its import
+    assert _run_child(EXACT_SUBCOMMAND, *argv).splitlines()[-1] == "False"
+
+
+def test_package_import_is_lazy():
+    # a bare import loads no submodule; every public name still resolves on first access
+    code = (
+        "import sys, bintab\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('bintab.'))\n"
+        "print('numpy' in sys.modules, loaded)\n"
+        "for name in bintab.__all__:\n"
+        "    getattr(bintab, name)\n"
+        "print('numpy' in sys.modules)\n"
     )
-    assert result.stdout.strip() == "False"
+    assert _run_child(code).splitlines() == ["False []", "True"]
+
+
+class TestPackageNamespace:
+    def test_every_public_name_resolves(self):
+        namespace = {}
+        exec("from bintab import *", namespace)
+        for name in bintab.__all__:
+            value = getattr(bintab, name)
+            assert namespace[name] is value
+            assert getattr(value, "__module__", "bintab.").startswith("bintab.")
+
+    def test_dir_lists_public_names(self):
+        assert set(bintab.__all__) <= set(dir(bintab))
+        assert "__version__" in dir(bintab)
+
+    def test_submodules_resolve(self):
+        import bintab.geometry
+
+        assert bintab.geometry is sys.modules["bintab.geometry"]
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            bintab.no_such_name
+        assert not hasattr(bintab, "no_such_name")
+        with pytest.raises(ImportError):
+            exec("from bintab import no_such_name", {})
 
 
 DECOMPOSE_WITHOUT_SCIPY = """
@@ -701,10 +791,4 @@ print("scipy" in sys.modules)
 @pytest.mark.parametrize("scipy_import", ["blocked", "allowed"])
 def test_decompose_runs_without_scipy(scipy_import):
     # rational (exact certificate) and float (IPF table) inputs; scipy is only a test dependency
-    src = str(Path(bintab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-c", DECOMPOSE_WITHOUT_SCIPY, scipy_import],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert result.stdout.strip() == str(scipy_import == "blocked")
+    assert _run_child(DECOMPOSE_WITHOUT_SCIPY, scipy_import).strip() == str(scipy_import == "blocked")

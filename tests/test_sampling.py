@@ -147,6 +147,15 @@ class TestSamplerConfig:
         with pytest.raises(DomainError):
             SamplerConfig(seed=1, count=1, thinning=-2)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, False, "3", None])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            SamplerConfig(seed=seed, count=1)
+
+    @pytest.mark.parametrize("seed", [0, 2**64, 2**200])
+    def test_large_seeds_are_accepted(self, seed):
+        assert SamplerConfig(seed=seed, count=1).seed == seed
+
 
 # ---------------------------------------------------------------------------
 # per-step references: the samplers as first written, one draw or one walk
