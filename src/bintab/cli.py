@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Every pipeline stage is a subcommand; tables come from ``builtin:<name>``
-(example1, water, raters) or from JSON/CSV files.  Exit codes: 0 success,
-2 infeasible targets or empty polytope, 3 parse error, 4 domain error.
+(example1, water, raters) or from JSON/CSV files, read and written only through ``io``.
+Exit codes: 0 success, 2 infeasible targets or empty polytope, 3 parse error or a file
+that cannot be read or written, 4 domain error.
 
 The numpy-backed modules (geometry, ipf, sampling) are imported inside the
 subcommands that call them, so analyze, targets, constraints and loglinear
@@ -15,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from pathlib import Path
 
 import click
 
@@ -43,17 +43,17 @@ from .io import (
     constraints_to_json_dict,
     document_to_json_dict,
     load_table,
+    load_vertices,
     loglinear_to_json_dict,
     parse_rational,
     pmf_to_document,
     targets_to_json_dict,
-    vertexset_from_json,
     vertexset_to_json_dict,
+    write_output,
 )
 from .loglinear import CORNER, DEFAULT_EPS, ZERO_MEAN, corner_params, zero_mean_params
 from .table import (
     FLOAT,
-    RATIONAL,
     Pmf,
     all_pairs,
     conditional_odds_ratio,
@@ -103,20 +103,12 @@ def _fmt(value, decimals=6):
     return v if isinstance(v, str) else f"{v:.{decimals}f}".rstrip("0").rstrip(".")
 
 
-def _load_pmf(source: str, precision_mode: str) -> Pmf:
-    pmf = load_table(source).to_pmf()
-    return pmf.to_float() if precision_mode == FLOAT else pmf
+def _load_pmf(source: str) -> Pmf:
+    return load_table(source).to_pmf()
 
 
 def _load_targets(source: str, digits: int, margins: str) -> MarginTargets:
-    return targets_from_pmf(_load_pmf(source, RATIONAL), digits=digits, margins=margins)
-
-
-def _load_vertices(vertex_file: str):
-    path = Path(vertex_file)
-    if not path.exists():
-        raise TableParseError(f"no such vertex file: {vertex_file}")
-    return vertexset_from_json(path.read_text())
+    return targets_from_pmf(_load_pmf(source), digits=digits, margins=margins)
 
 
 _input_argument = click.argument("source", metavar="INPUT")
@@ -140,14 +132,10 @@ def main():
 @main.command()
 @_input_argument
 @_json_flag
-@click.option(
-    "--precision-mode", type=click.Choice([RATIONAL, FLOAT]), default=RATIONAL,
-    show_default=True, help="Arithmetic mode for table statistics.",
-)
 @_exit_on_errors
-def analyze(source, as_json, precision_mode):
+def analyze(source, as_json):
     """Margins, correlations, and all odds-ratio flavors of a table."""
-    pmf = _load_pmf(source, precision_mode)
+    pmf = _load_pmf(source)
     d = pmf.d
     pairs = all_pairs(d)
     margins = {i: univariate_margin(pmf, i) for i in range(1, d + 1)}
@@ -234,7 +222,7 @@ def constraints(source, as_json, digits, margins):
 @_json_flag
 @_digits_option
 @_margins_option
-@click.option("--output", "-o", type=click.Path(dir_okay=False), help="Write the vertex set JSON here.")
+@click.option("--output", "-o", help="Write the vertex set JSON here.")
 @_exit_on_errors
 def vertices(source, as_json, digits, margins, output):
     """Enumerate the extreme pmfs of the feasible polytope."""
@@ -246,7 +234,7 @@ def vertices(source, as_json, digits, margins, output):
     payload = vertexset_to_json_dict(V, digits=max(digits, 6))
     payload["dimension"] = dim
     if output:
-        Path(output).write_text(json.dumps(payload, indent=2, ensure_ascii=False))
+        write_output(output, json.dumps(payload, indent=2, ensure_ascii=False))
     if as_json:
         click.echo(json.dumps(payload, indent=2, ensure_ascii=False))
     else:
@@ -260,22 +248,22 @@ def vertices(source, as_json, digits, margins, output):
 
 
 @main.command()
-@click.argument("vertex_file", type=click.Path(dir_okay=False))
+@click.argument("vertex_file")
 @click.option("--weights", required=True, help="Comma-separated weights, e.g. '1/2,1/2' or '0.3,0.7'.")
-@click.option("--output", "-o", type=click.Path(dir_okay=False), help="Write the mixed table JSON here.")
+@click.option("--output", "-o", help="Write the mixed table JSON here.")
 @_json_flag
 @_exit_on_errors
 def mixture(vertex_file, weights, output, as_json):
     """Convex combination of an enumerated vertex set."""
     from .geometry import MixtureWeights, mixture as geometry_mixture
 
-    V = _load_vertices(vertex_file)
+    V = load_vertices(vertex_file)
     theta = MixtureWeights(tuple(parse_rational(w) for w in weights.split(",")))
     mixed = geometry_mixture(theta, V)
     doc = document_to_json_dict(pmf_to_document(mixed))
     text = json.dumps(doc, indent=2)
     if output:
-        Path(output).write_text(text)
+        write_output(output, text)
         if not as_json:
             click.echo(f"wrote {output}")
     if as_json or not output:
@@ -283,7 +271,7 @@ def mixture(vertex_file, weights, output, as_json):
 
 
 @main.command()
-@click.argument("vertex_file", type=click.Path(dir_okay=False))
+@click.argument("vertex_file")
 @_input_argument
 @click.option("--tol", default=1e-9, show_default=True, help="Max-norm membership tolerance.")
 @_exit_on_errors
@@ -291,8 +279,8 @@ def decompose(vertex_file, source, tol):
     """Mixture weights representing a table over a vertex set."""
     from .geometry import decompose as geometry_decompose
 
-    V = _load_vertices(vertex_file)
-    pmf = _load_pmf(source, RATIONAL)
+    V = load_vertices(vertex_file)
+    pmf = _load_pmf(source)
     weights = geometry_decompose(pmf, V, tol=tol)
     click.echo(json.dumps({
         "weights": [_num(float(t)) for t in weights.theta],
@@ -311,7 +299,7 @@ def decompose(vertex_file, source, tol):
 @_exit_on_errors
 def loglinear(source, parametrization, eps, as_json):
     """Saturated log-linear coefficients of a table."""
-    pmf = _load_pmf(source, RATIONAL)
+    pmf = _load_pmf(source)
     params = (
         zero_mean_params(pmf, eps=eps)
         if parametrization == ZERO_MEAN
@@ -337,7 +325,7 @@ def loglinear(source, parametrization, eps, as_json):
 @click.option("--thinning", default=10, show_default=True)
 @_digits_option
 @_margins_option
-@click.option("--output", "-o", type=click.Path(dir_okay=False), help="Write JSON-lines here instead of stdout.")
+@click.option("--output", "-o", help="Write JSON-lines here instead of stdout.")
 @_exit_on_errors
 def sample(source, method, count, seed, burn_in, thinning, digits, margins, output):
     """Draw feasible pmfs (JSON-lines: one header record, then one pmf per line)."""
@@ -361,7 +349,7 @@ def sample(source, method, count, seed, burn_in, thinning, digits, margins, outp
     lines.extend(json.dumps({"cells": [float(c) for c in draw.cells]}) for draw in draws)
     text = "\n".join(lines) + "\n"
     if output:
-        Path(output).write_text(text)
+        write_output(output, text)
         click.echo(f"wrote {count} draws to {output}")
     else:
         click.echo(text, nl=False)

@@ -55,7 +55,7 @@ class NotInPolytopeError(BintabError):
 
 
 class TableParseError(BintabError, ValueError):
-    """A table document is malformed.  ``cell`` is the offending cell index."""
+    """A document is malformed, or a file cannot be read or written.  ``cell`` is the offending cell index."""
 
     def __init__(self, message, cell=None):
         super().__init__(message)

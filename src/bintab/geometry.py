@@ -457,10 +457,14 @@ def decompose(p: Pmf, V: VertexSet, tol: float = 1e-9) -> MixtureWeights:
 
     Raises
     ------
+    DomainError
+        If ``tol`` is not a finite number >= 0, or ``V`` is empty.
     NotInPolytopeError
         If neither reproduces ``p``; the error carries the max-norm residual
         of the renormalized least-squares fit.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
     n_d = len(V)
     if n_d == 0:
         raise DomainError("cannot decompose over an empty vertex set")

@@ -175,13 +175,28 @@ def load_table(source: str) -> TableDocument:
             else pmf.cells
         )
         return TableDocument(d=pmf.d, cells=cells, kind=kind, labels=builtin_labels(name))
-    path = Path(source)
-    if not path.exists():
-        raise TableParseError(f"no such table file: {source}")
-    text = path.read_text()
-    if path.suffix.lower() == ".csv":
+    text = read_input(source, "table")
+    if Path(source).suffix.lower() == ".csv":
         return document_from_csv(text)
     return document_from_json(text)
+
+
+def read_input(path: str, what: str) -> str:
+    """The UTF-8 text of the ``what`` ("table", "vertex") file; any failure to read it is a TableParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise TableParseError(f"no such {what} file: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # strerror drops the errno and the repeated path
+        raise TableParseError(f"cannot read {what} file {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def write_output(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 to the output file ``path``; an OS failure is a TableParseError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise TableParseError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
 
 
 def document_to_json_dict(doc: TableDocument) -> dict:
@@ -294,6 +309,11 @@ def targets_from_json_dict(obj: dict) -> MarginTargets:
         return MarginTargets(d=d, univariate=univariate, moments=moments)
     except (KeyError, IndexError, TypeError) as exc:
         raise TableParseError(f"malformed targets JSON: {exc}") from exc
+
+
+def load_vertices(path: str) -> VertexSet:
+    """Load a vertex set from a JSON file written by ``bintab vertices -o``."""
+    return vertexset_from_json(read_input(path, "vertex"))
 
 
 def vertexset_from_json(text: str) -> VertexSet:

@@ -18,6 +18,7 @@ fitted table, do not depend on the memory layout of the view.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +67,14 @@ def ipf_max_entropy(
     Raises
     ------
     DomainError
-        If ``max_iter < 1``.
+        If ``max_iter < 1``, or if ``tol`` is not a finite number >= 0.
     EmptyFeasibleSetError
         If the targets admit no feasible table (checked exactly first).
     """
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
     _relative_interior(build_H(targets))
 
     d = targets.d

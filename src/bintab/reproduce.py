@@ -8,16 +8,18 @@ decimals), so agreement is expected at that rounding, not exactly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .constraints import build_H, targets_from_pmf
-from .datasets import EXAMPLE1, RATERS, REFERENCE, WATER, builtin_pmf
+from .constraints import OBSERVED, UNIFORM, build_H, targets_from_pmf
+from .datasets import REFERENCE, builtin_pmf
 from .geometry import VertexSet, enumerate_vertices
 from .loglinear import corner_params, zero_mean_params
 from .table import Pmf, marginal_odds_ratio, top_order_odds_ratio
 
 #: Moment targets for the published tables were computed at this precision.
 REPRODUCE_DIGITS = 6
+#: The published vertex count of a case comes from targets at this precision.
+COUNT_DIGITS = 3
 
 _SUBSETS_D3 = ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
 
@@ -76,70 +78,51 @@ def _loglinear_rows(matched: Sequence[Pmf], reference) -> List[dict]:
     return sections
 
 
-def _odds_ratio_section(pmf: Pmf, reference: Dict[Tuple[int, int], float]) -> dict:
-    rows = [
-        (f"omega_M {i}{j}", float(marginal_odds_ratio(pmf, i, j)), float(ref))
-        for (i, j), ref in reference.items()
-    ]
-    return _section("marginal odds ratios", rows)
-
-
-def _moments_section(pmf: Pmf, reference: Dict[Tuple[int, int], float]) -> dict:
-    targets = targets_from_pmf(pmf, digits=REPRODUCE_DIGITS)
-    rows = [
-        (f"mu {i}{j}", float(targets.moments[(i, j)]), float(ref))
-        for (i, j), ref in reference.items()
-    ]
-    return _section("uniform-margin moment targets", rows)
+def _vertices(pmf: Pmf, digits: int = REPRODUCE_DIGITS, margins: str = UNIFORM) -> VertexSet:
+    return enumerate_vertices(build_H(targets_from_pmf(pmf, digits=digits, margins=margins)))
 
 
 def reproduce_report(example: str) -> dict:
-    """Recompute one case study; returns a JSON-ready report."""
+    """Recompute one case study; returns a JSON-ready report.
+
+    One pass over the case's ``REFERENCE`` keys builds one section per key
+    it has, always in this order: pmf, marginal odds ratios, top-order odds
+    ratio, moments, vertex count, uniform vertices, observed vertices,
+    log-linear (two sections, on the matched uniform vertices).
+    """
     pmf = builtin_pmf(example)
     ref = REFERENCE[example]
     sections = []
-
-    if example == EXAMPLE1:
-        sections.append(_odds_ratio_section(pmf, ref["marginal_odds_ratios"]))
-        sections.append(_moments_section(pmf, ref["moments_uniform"]))
-        V = enumerate_vertices(build_H(targets_from_pmf(pmf, digits=REPRODUCE_DIGITS)))
-        matched = _match_vertices(V, ref["vertices_uniform"])
-        sections.append(_section("extreme pmfs (uniform margins)", _vertex_rows(matched, ref["vertices_uniform"])))
-        V_obs = enumerate_vertices(
-            build_H(targets_from_pmf(pmf, digits=REPRODUCE_DIGITS, margins="observed"))
-        )
-        matched_obs = _match_vertices(V_obs, ref["vertices_observed"])
-        sections.append(
-            _section("extreme pmfs (observed margins)", _vertex_rows(matched_obs, ref["vertices_observed"]))
-        )
-        sections.extend(_loglinear_rows(matched, ref["loglinear"]))
-    elif example == WATER:
-        sections.append(_odds_ratio_section(pmf, ref["marginal_odds_ratios"]))
-        sections.append(_moments_section(pmf, ref["moments_uniform"]))
-        V = enumerate_vertices(build_H(targets_from_pmf(pmf, digits=3)))
-        sections.append(
-            _section("extreme pmf count (targets at 3 decimals)",
-                     [("n", float(len(V)), float(ref["vertex_count"]))], decimals=0)
-        )
-    elif example == RATERS:
-        sections.append(
-            _section("table pmf", [
-                (f"cell {k + 1}", float(c), float(r))
-                for k, (c, r) in enumerate(zip(pmf.cells, ref["pmf"]))
-            ])
-        )
-        sections.append(_odds_ratio_section(pmf, ref["marginal_odds_ratios"]))
-        sections.append(
-            _section("top-order odds ratio", [
-                ("omega 123", float(top_order_odds_ratio(pmf)), ref["top_order_odds_ratio"])
-            ], decimals=5)
-        )
-        V = enumerate_vertices(build_H(targets_from_pmf(pmf, digits=REPRODUCE_DIGITS)))
-        matched = _match_vertices(V, ref["vertices_uniform"])
-        sections.append(_section("extreme pmfs (uniform margins)", _vertex_rows(matched, ref["vertices_uniform"])))
-        sections.extend(_loglinear_rows(matched, ref["loglinear"]))
-    else:
-        raise ValueError(f"unknown example {example!r}")
+    if "pmf" in ref:
+        sections.append(_section("table pmf", [
+            (f"cell {k}", float(c), float(r)) for k, (c, r) in enumerate(zip(pmf.cells, ref["pmf"]), start=1)
+        ]))
+    if "marginal_odds_ratios" in ref:
+        sections.append(_section("marginal odds ratios", [
+            (f"omega_M {i}{j}", float(marginal_odds_ratio(pmf, i, j)), float(r))
+            for (i, j), r in ref["marginal_odds_ratios"].items()
+        ]))
+    if "top_order_odds_ratio" in ref:
+        sections.append(_section("top-order odds ratio", [
+            ("omega 123", float(top_order_odds_ratio(pmf)), ref["top_order_odds_ratio"])
+        ], decimals=5))
+    if "moments_uniform" in ref:
+        moments = targets_from_pmf(pmf, digits=REPRODUCE_DIGITS).moments
+        sections.append(_section("uniform-margin moment targets", [
+            (f"mu {i}{j}", float(moments[(i, j)]), float(r)) for (i, j), r in ref["moments_uniform"].items()
+        ]))
+    if "vertex_count" in ref:
+        sections.append(_section(f"extreme pmf count (targets at {COUNT_DIGITS} decimals)", [
+            ("n", float(len(_vertices(pmf, digits=COUNT_DIGITS))), float(ref["vertex_count"]))
+        ], decimals=0))
+    matched = {}
+    for key, margins in (("vertices_uniform", UNIFORM), ("vertices_observed", OBSERVED)):
+        if key in ref:
+            matched[margins] = _match_vertices(_vertices(pmf, margins=margins), ref[key])
+            rows = _vertex_rows(matched[margins], ref[key])
+            sections.append(_section(f"extreme pmfs ({margins} margins)", rows))
+    if "loglinear" in ref:
+        sections.extend(_loglinear_rows(matched[UNIFORM], ref["loglinear"]))
 
     return {
         "example": example,

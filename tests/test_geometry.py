@@ -621,6 +621,14 @@ class TestDecompose:
         w = decompose(mixture(theta, example1_vertices), example1_vertices)
         assert w.theta == theta.theta
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_tol_outside_domain_rejected(self, example1_vertices, tol, mode):
+        # a nan or negative tol would refuse a float vertex as "not in the polytope"
+        vertex = example1_vertices.vertices[0]
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            decompose(vertex if mode == "rational" else vertex.to_float(), example1_vertices, tol=tol)
+
     def test_round_trip_float_path(self, example1_vertices):
         theta = MixtureWeights((0.3, 0.7))
         p = mixture(theta, example1_vertices)

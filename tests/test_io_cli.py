@@ -27,6 +27,7 @@ from bintab.io import (
     targets_from_json_dict,
     targets_to_json_dict,
 )
+from bintab.reproduce import reproduce_report
 
 F = Fraction
 
@@ -414,12 +415,60 @@ class TestCliVertices:
         assert result.exit_code == 4
 
     def test_float_precision_mode_rejected(self, runner):
-        # only analyze takes the flag: vertices is exact only, and loglinear prints the same bytes in either mode
-        for command in ("vertices", "loglinear"):
+        # no subcommand takes the flag: the statistics are exact, and --json renders them as floats
+        for command in ("analyze", "vertices", "loglinear"):
             result = runner.invoke(main, [command, "builtin:example1", "--precision-mode", "float"])
             assert result.exit_code == 2
             assert "No such option" in result.output
-        assert runner.invoke(main, ["analyze", "builtin:example1", "--precision-mode", "float"]).exit_code == 0
+
+
+def _assert_one_error_line(result, *fragments):
+    """Exit 3 through the CLI's own handler: one ``error:`` line, nothing else, no traceback."""
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+    assert all(f in lines[0] for f in fragments), lines[0]
+
+
+class TestCliFiles:
+    """Every input file is read, and every -o file written, through one io boundary."""
+
+    def test_directory_as_table(self, runner, tmp_path):
+        _assert_one_error_line(runner.invoke(main, ["analyze", str(tmp_path)]), f"table file {tmp_path}")
+
+    def test_undecodable_table(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"cells": [1, 2, 3, "\xff"]}')
+        _assert_one_error_line(runner.invoke(main, ["analyze", str(bad)]), f"cannot read table file {bad}")
+
+    @pytest.mark.parametrize(
+        "argv", [["mixture", "{dir}", "--weights", "1"], ["decompose", "{dir}", "builtin:water"]],
+        ids=["mixture", "decompose"],
+    )
+    def test_directory_as_vertex_file(self, runner, tmp_path, argv):
+        result = runner.invoke(main, [a.format(dir=tmp_path) for a in argv])
+        _assert_one_error_line(result, f"cannot read vertex file {tmp_path}")
+
+    @pytest.fixture(scope="class")
+    def vertex_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("v") / "v.json"
+        result = CliRunner().invoke(main, ["vertices", "builtin:example1", "--digits", "3", "-o", str(path)])
+        assert result.exit_code == 0, result.output
+        return path
+
+    @pytest.mark.parametrize("command", ["vertices", "mixture", "sample"])
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_output(self, runner, tmp_path, vertex_file, command, target):
+        out = tmp_path / "missing" / "out.json" if target == "missing_dir" else tmp_path
+        argv = {
+            "vertices": ["vertices", "builtin:example1", "--digits", "3"],
+            "mixture": ["mixture", str(vertex_file), "--weights", "1/2,1/2"],
+            "sample": ["sample", "builtin:example1", "--digits", "3", "--count", "2"],
+        }[command]
+        _assert_one_error_line(runner.invoke(main, argv + ["-o", str(out)]), f"cannot write output file {out}")
+        assert not (tmp_path / "missing").exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliPipelines:
@@ -610,6 +659,20 @@ class TestCliPipelines:
         assert result.exit_code == 4
         assert "error: max_iter must be >= 1" in result.output
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_ipf_rejects_tol_outside_domain(self, runner, tol):
+        result = runner.invoke(main, ["ipf", "builtin:water", "--digits", "3", "--tol", tol])
+        assert result.exit_code == 4, result.output
+        assert "error: tol must be finite and >= 0" in result.output
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_decompose_rejects_tol_outside_domain(self, runner, tmp_path, tol):
+        vertex_file = tmp_path / "v.json"
+        runner.invoke(main, ["vertices", "builtin:example1", "--digits", "3", "-o", str(vertex_file)])
+        result = runner.invoke(main, ["decompose", str(vertex_file), "builtin:example1", "--tol", tol])
+        assert result.exit_code == 4, result.output
+        assert "error: tol must be finite and >= 0" in result.output
+
     def test_sample_deterministic_bytes(self, runner, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (out1, out2):
@@ -666,6 +729,41 @@ class TestCliReproduce:
     def test_unknown_example(self, runner):
         result = runner.invoke(main, ["reproduce", "nope"])
         assert result.exit_code != 0
+
+    def test_section_titles_and_row_names(self):
+        cells = [f"cell {k}" for k in range(1, 9)]
+        vertex_cells = [f"r{i} {c}" for i in (1, 2) for c in cells]
+        lambdas = [f"r{i} lambda[{s}]" for i in (1, 2) for s in ("0", "1", "2", "3", "12", "13", "23", "123")]
+        odds_d3 = ["omega_M 12", "omega_M 13", "omega_M 23"]
+        loglinear = [
+            ("log-linear coefficients (zero-mean, eps=1e-8)", lambdas),
+            ("log-linear coefficients (corner, eps=1e-8)", lambdas),
+        ]
+        expected = {
+            "example1": [
+                ("marginal odds ratios", odds_d3),
+                ("uniform-margin moment targets", ["mu 12", "mu 13", "mu 23"]),
+                ("extreme pmfs (uniform margins)", vertex_cells),
+                ("extreme pmfs (observed margins)", vertex_cells),
+                *loglinear,
+            ],
+            "water": [
+                ("marginal odds ratios", [f"omega_M {p}" for p in ("12", "23", "13", "34", "24", "14")]),
+                ("uniform-margin moment targets", [f"mu {p}" for p in ("12", "23", "13", "34", "24", "14")]),
+                ("extreme pmf count (targets at 3 decimals)", ["n"]),
+            ],
+            "raters": [
+                ("table pmf", cells),
+                ("marginal odds ratios", odds_d3),
+                ("top-order odds ratio", ["omega 123"]),
+                ("extreme pmfs (uniform margins)", vertex_cells),
+                *loglinear,
+            ],
+        }
+        for example, sections in expected.items():
+            report = reproduce_report(example)
+            got = [(s["title"], [row["name"] for row in s["rows"]]) for s in report["sections"]]
+            assert got == sections, example
 
 
 def test_version_from_source_checkout(runner):

@@ -50,6 +50,12 @@ class TestConvergence:
         with pytest.raises(DomainError):
             ipf_max_entropy(targets_from_pmf(example1, digits=3), max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_tol_outside_domain_rejected(self, water, tol):
+        # nan and -1 would run every sweep and report no convergence; inf would stop after one
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            ipf_max_entropy(targets_from_pmf(water, digits=3), tol=tol)
+
     def test_infeasible_targets_signal(self):
         targets = MarginTargets.uniform(
             3, {(1, 2): F(1, 10), (1, 3): F(1, 10), (2, 3): F(1, 10)}
