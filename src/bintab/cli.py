@@ -329,7 +329,7 @@ def loglinear(source, parametrization, eps, as_json):
 @_exit_on_errors
 def sample(source, method, count, seed, burn_in, thinning, digits, margins, output):
     """Draw feasible pmfs (JSON-lines: one header record, then one pmf per line)."""
-    from .geometry import _relative_interior, _require_nonempty, enumerate_vertices
+    from .geometry import _require_nonempty, enumerate_vertices
     from .sampling import SamplerConfig, sample_dirichlet, sample_hit_and_run
 
     H = build_H(_load_targets(source, digits, margins))
@@ -339,7 +339,7 @@ def sample(source, method, count, seed, burn_in, thinning, digits, margins, outp
         _require_nonempty(V)
         draws = sample_dirichlet(V, cfg)
     else:
-        y, _ = _relative_interior(H)
+        y, _ = H.relative_interior
         total = sum(y)
         draws = sample_hit_and_run(H, Pmf(d=H.d, cells=tuple(v / total for v in y), mode=FLOAT), cfg)
     lines = [json.dumps({

@@ -20,13 +20,30 @@ The homogeneous constraint matrix H couples a cell vector p to the targets:
 * moment row (i, j): ``mu_ij - 1`` on cells with alpha_i*alpha_j = 1 and
   ``mu_ij`` elsewhere, so that ``row . p = mu_ij*sum(p) - m_ij^11``.
 
+Each row scaled to primitive integers is known in closed form, and
+:func:`build_H` emits it next to the rational row: with m_i = a/b a margin
+row is ``a`` on alpha_i = 0 cells and ``a - b`` on alpha_i = 1 cells
+(``+1`` and ``-1`` when m_i = 1/2), and with mu_ij = a/b a moment row is
+``a`` off the pair cells and ``a - b`` on them; gcd(a, a - b) = gcd(a, b)
+= 1, so each is primitive.
+
 The nonnegative kernel of H is the cone of all feasible (unnormalized)
 tables; intersecting with the probability simplex gives the feasible
 polytope handled by :mod:`bintab.geometry`.
 
-H keeps its rational rows and, built once on first read, the read-only
-matrix ``int_rows`` of the same rows scaled to primitive integers, which
-every exact reader of H uses.
+H keeps its rational rows, and builds on first read, once each, what the
+system determines and the queries on it read:
+
+* ``int_rows``, the read-only matrix of the primitive integer rows, which
+  every exact reader of H uses;
+* ``relative_interior``, an exact relative-interior point and the affine
+  dimension of the polytope (:func:`bintab.geometry._relative_interior`),
+  read by ``polytope_dimension`` and the CLI hit-and-run start;
+* ``kernel_chart``, the read-only orthonormal float chart of the exact
+  kernel of ``[H; 1]`` that hit-and-run walks in.
+
+A read that raises, such as the :class:`~bintab.errors.EmptyFeasibleSetError`
+of an empty polytope, caches nothing, so every later read raises too.
 """
 
 from __future__ import annotations
@@ -51,6 +68,11 @@ if TYPE_CHECKING:
 
 #: Default decimal precision at which moment targets are rationalized.
 DEFAULT_DIGITS = 6
+
+#: Largest decimal precision accepted for moment targets.  A double holds 17
+#: significant digits, and every printed target passes through Python's
+#: int-to-string conversion, which refuses integers past 4,300 digits.
+MAX_DIGITS = 1000
 
 #: Default tolerance and sweep cap of :func:`bintab.ipf.ipf_max_entropy`; kept
 #: here, in a module free of numpy, so the CLI reads them without loading it.
@@ -88,10 +110,10 @@ def moment_for_margins(omega, mi1, mj1, digits: int = DEFAULT_DIGITS) -> Fractio
     half up to ``digits`` decimals exactly, in integers: an ``isqrt``
     estimate is settled by the sign of f at the half-way points.  A rounded
     value past a bound becomes that bound, so the targets of any table with
-    these margins stay admissible.
+    these margins stay admissible.  ``digits`` must lie in 0..``MAX_DIGITS``.
     """
-    if digits < 0:
-        raise DomainError(f"digits must be >= 0, got {digits}")
+    if not 0 <= digits <= MAX_DIGITS:
+        raise DomainError(f"digits must be in 0..{MAX_DIGITS}, got {digits}")
     if isinstance(omega, float) and (math.isnan(omega) or math.isinf(omega)):
         raise DomainError(f"odds ratio must be finite and positive, got {omega}")
     omega, a, b = Fraction(omega), Fraction(mi1), Fraction(mj1)
@@ -263,12 +285,16 @@ class ConstraintMatrix:
 
     Rows are exact rationals: d margin rows followed by the d(d-1)/2 moment
     rows in pair-lexicographic order.  ``labels[r]`` names row ``r``.
+    ``primitive_rows``, when given, holds each row scaled to its primitive
+    integer multiple, as :func:`build_H` emits them; otherwise ``int_rows``
+    scales ``rows`` itself.
     """
 
     d: int
     rows: Tuple[Tuple[Fraction, ...], ...]
     labels: Tuple[RowLabel, ...]
     targets: MarginTargets
+    primitive_rows: Optional[Tuple[Tuple[int, ...], ...]] = field(default=None, repr=False, compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -285,10 +311,43 @@ class ConstraintMatrix:
 
         from ._linalg import _exact, _integer_rows, _max_abs
 
-        rows = np.array(_integer_rows(self.rows), dtype=object).reshape(self.n_rows, self.n_cols)
+        primitive = _integer_rows(self.rows) if self.primitive_rows is None else self.primitive_rows
+        rows = np.array(primitive, dtype=object).reshape(self.n_rows, self.n_cols)
         (rows,) = _exact(_max_abs(rows), rows)
         rows.flags.writeable = False
         return rows
+
+    @functools.cached_property
+    def relative_interior(self) -> Tuple[Tuple[int, ...], int]:
+        """An exact relative-interior point of the feasible cone and the polytope's affine dimension.
+
+        :func:`bintab.geometry._relative_interior`, run on first read; it
+        raises :class:`~bintab.errors.EmptyFeasibleSetError` on every read
+        when the polytope is empty.
+        """
+        from .geometry import _relative_interior
+
+        return _relative_interior(self)
+
+    @functools.cached_property
+    def kernel_chart(self) -> np.ndarray:
+        """An orthonormal float basis, as columns, of the kernel of H with an all-ones row appended; read-only.
+
+        The exact rational kernel basis of ``[H; 1]``, converted to floats
+        and orthonormalized by a QR factorization: the chart hit-and-run
+        walks in.  Its shape is ``(2^d, 0)`` when that kernel is {0}.
+        """
+        import numpy as np
+
+        from ._linalg import frac_nullspace
+
+        basis = frac_nullspace(np.vstack([self.int_rows, np.ones(self.n_cols, dtype=np.int64)]), self.n_cols)
+        if basis:
+            chart, _ = np.linalg.qr(np.array([[float(v) for v in vec] for vec in basis], dtype=float).T)
+        else:
+            chart = np.empty((self.n_cols, 0))
+        chart.flags.writeable = False
+        return chart
 
 
 def build_H(targets: MarginTargets) -> ConstraintMatrix:
@@ -296,26 +355,29 @@ def build_H(targets: MarginTargets) -> ConstraintMatrix:
 
     Uniform-margin rows are emitted exactly as the +/-1 indicator
     difference; general margins use the balanced form with weights
-    ``m_i`` and ``-(1 - m_i)``.
+    ``m_i`` and ``-(1 - m_i)``.  Each row comes with its primitive integer
+    row, in the closed form of the module note.
     """
     d = targets.d
-    n = 2**d
-    rows = []
-    labels = []
+    rows, primitive, labels = [], [], []
+
+    def emit(label, ones, off, on, value):
+        # value = a/b is the target; its primitive row is a off the `ones` cells and a - b on them
+        a, b = value.numerator, value.denominator
+        rows.append(tuple(on if one else off for one in ones))
+        primitive.append(tuple(a - b if one else a for one in ones))
+        labels.append(label)
+
     for i in range(1, d + 1):
         mi = targets.univariate[i - 1]
-        if mi == Fraction(1, 2):
-            row = tuple(Fraction(1) if _bit(k, d, i) == 0 else Fraction(-1) for k in range(n))
-        else:
-            row = tuple(mi if _bit(k, d, i) == 0 else -(1 - mi) for k in range(n))
-        rows.append(row)
-        labels.append(("margin", i))
+        off, on = (Fraction(1), Fraction(-1)) if mi == Fraction(1, 2) else (mi, -(1 - mi))
+        emit(("margin", i), _all_ones(d, i), off, on, mi)
     for (i, j) in all_pairs(d):
         mu = targets.moments[(i, j)]
-        row = tuple(mu - 1 if _bit(k, d, i) and _bit(k, d, j) else mu for k in range(n))
-        rows.append(row)
-        labels.append(("moment", i, j))
-    return ConstraintMatrix(d=d, rows=tuple(rows), labels=tuple(labels), targets=targets)
+        emit(("moment", i, j), _all_ones(d, i, j), mu, mu - 1, mu)
+    return ConstraintMatrix(
+        d=d, rows=tuple(rows), labels=tuple(labels), targets=targets, primitive_rows=tuple(primitive)
+    )
 
 
 def residual(H: ConstraintMatrix, p: Pmf) -> tuple:

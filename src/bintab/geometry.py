@@ -69,6 +69,10 @@ table is zero off S, the cells some vertex uses, and the vertex centroid
 is positive on S, so the dimension is ``|S| - 1 - rank(H on the S
 columns)``, exact on degenerate polytopes too.  Each certificate attempt
 emits one debug record whose mapping arguments are ``certified`` and ``rank``.
+The point and the dimension are cached on the system, as
+``ConstraintMatrix.relative_interior``, so repeated queries on one H
+(:func:`polytope_dimension`, the CLI hit-and-run start) run the attempt
+once; a failure, such as an empty polytope, is not cached.
 
 :func:`enumerate_vertices` is the one entry point.  Its :class:`VertexSet`
 holds the exact integer keys ``ray * (L // sum(ray))``, with L the lcm of
@@ -140,7 +144,7 @@ class VertexSet:
         rows = self.keys.tolist()
         # one Fraction per distinct cell value: most cells of a vertex are 0
         fraction = {k: Fraction(k, self.scale) for k in set().union(*rows)}
-        return tuple(Pmf._valid_rational(self.constraints.d, tuple(map(fraction.__getitem__, row))) for row in rows)
+        return tuple(Pmf._valid(self.constraints.d, tuple(map(fraction.__getitem__, row)), RATIONAL) for row in rows)
 
     @functools.cached_property
     def float_matrix(self) -> np.ndarray:
@@ -347,15 +351,16 @@ def _relative_interior(H: ConstraintMatrix) -> Tuple[Tuple[int, ...], int]:
 def polytope_dimension(H: ConstraintMatrix) -> int:
     """Affine dimension of the feasible polytope, exact even when degenerate.
 
-    One call of :func:`_relative_interior`, which runs the ray pass only
-    when no full-support feasible table is certified.
+    Read from ``H.relative_interior``, which runs :func:`_relative_interior`
+    once per H; that runs the ray pass only when no full-support feasible
+    table is certified.
 
     Raises
     ------
     EmptyFeasibleSetError
         If the polytope is empty.
     """
-    return _relative_interior(H)[1]
+    return H.relative_interior[1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,13 @@ dependence.
 
 The table is a ``(2,) * d`` array in cell order.  A pair sees it with its
 two axes in front, so block (k1, k2) is ``view[k1, k2]`` and one broadcast
-2x2 factor rescales all four blocks.  Each block sum is one 1-D sum over
-the block's cells in cell order, so the additions, and the bits of the
-fitted table, do not depend on the memory layout of the view.
+2x2 factor rescales all four blocks.  The four block sums are one
+row-wise reduction over a contiguous ``(4, 2^(d-2))`` copy of the view:
+row k1 k2 holds block (k1, k2)'s cells in cell order, and numpy sums a
+contiguous row with the same pairwise additions as the 1-D sum of that
+block, so the bits of the fitted table do not depend on the memory layout
+of the view.  (The same reduction over the strided view itself can run
+across the rows and add in another order.)
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 
 from .constraints import DEFAULT_MAX_ITER, DEFAULT_TOL, MarginTargets, build_H
 from .errors import DomainError
-from .geometry import _relative_interior
 from .table import FLOAT, Pmf, all_pairs
 
 
@@ -45,11 +48,8 @@ class IpfReport:
 
 
 def _block_sums(view: np.ndarray) -> np.ndarray:
-    """The four block sums of a pair's view, one 1-D sum per block.
-
-    A 2-D ``sum(axis=1)`` would add a strided row in another order.
-    """
-    return np.array([block.sum() for block in view.reshape(4, -1)])
+    """The four block sums of a pair's view, one row each of a contiguous copy; see the module note."""
+    return np.ascontiguousarray(view).reshape(4, -1).sum(axis=1)
 
 
 def ipf_max_entropy(
@@ -75,7 +75,7 @@ def ipf_max_entropy(
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0):
         raise DomainError(f"tol must be finite and >= 0, got {tol}")
-    _relative_interior(build_H(targets))
+    build_H(targets).relative_interior  # raises EmptyFeasibleSetError when no table is feasible
 
     d = targets.d
     x = np.full((2,) * d, 1.0 / 2**d)

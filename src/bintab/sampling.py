@@ -10,7 +10,9 @@ Two samplers with different targets:
   polytope and targets the uniform distribution.  The walk moves in an
   orthonormalized chart of the exact rational kernel of the constraint
   system (including the total-mass row), so every iterate satisfies the
-  constraints up to one matrix product of round-off.
+  constraints up to one matrix product of round-off.  The chart is built
+  once per H (``ConstraintMatrix.kernel_chart``) and read by every walk
+  on it.
 
 Randomness comes from numpy's counter-based Philox bit generator; all
 variates are derived from its uniform doubles with the transformations
@@ -41,6 +43,13 @@ changes the last bits.  The norm of each direction is likewise its own
 ``z . z``, the sum ``np.linalg.norm`` takes; an axis reduction does not
 reproduce it.
 
+Each sampler writes its draws into one preallocated (draws x cells) array
+and validates them together, once per call
+(:func:`bintab.table._float_pmfs`): every cell finite and >= 0, and each
+draw's ``fsum`` within ``FLOAT_SUM_TOL`` of 1, the checks and the
+:class:`DomainError` messages of the ``Pmf`` constructor, which is then
+skipped for each draw.
+
 Each call emits one DEBUG record on the ``bintab.sampling`` logger whose
 mapping arguments are ``method``, ``steps`` (walk moves, or draws for
 Dirichlet), ``kept`` and ``degenerate_chords`` (directions resampled).
@@ -55,11 +64,10 @@ from typing import List
 
 import numpy as np
 
-from ._linalg import frac_nullspace
 from .constraints import ConstraintMatrix, residual
 from .errors import DomainError
 from .geometry import VertexSet
-from .table import FLOAT, Pmf
+from .table import FLOAT, Pmf, _float_pmfs
 
 #: Tolerance for validating the feasibility of a hit-and-run start point.
 START_TOL = 1e-9
@@ -125,22 +133,22 @@ def sample_dirichlet(V: VertexSet, cfg: SamplerConfig) -> List[Pmf]:
     n_d = len(V)
     if n_d == 0:
         raise DomainError("cannot sample from an empty vertex set")
-    d = V.constraints.d
+    M = V.float_matrix
     rng = _rng(cfg.seed)
     rows = max(1, _BLOCK_UNIFORMS // n_d)
-    draws = []
-    while len(draws) < cfg.count:
+    cells = np.empty((cfg.count, M.shape[1]))
+    for start in range(0, cfg.count, rows):
+        block = cells[start : start + rows]
         # -log(1 - U) are iid Exp(1); normalizing gives symmetric Dirichlet(1).
-        exponentials = -np.log1p(-rng.random((min(rows, cfg.count - len(draws)), n_d)))
+        exponentials = -np.log1p(-rng.random((len(block), n_d)))
         totals = exponentials.sum(axis=1)[:, None]
         thetas = np.divide(
             exponentials, totals, out=np.full_like(exponentials, 1.0 / n_d), where=totals > 0
         )
-        for theta in thetas:
-            cells = theta @ V.float_matrix
-            draws.append(Pmf(d=d, cells=tuple(cells.tolist()), mode=FLOAT))
+        for theta, row in zip(thetas, block):
+            np.matmul(theta, M, out=row)
     _log("dirichlet", cfg.count, cfg.count, 0)
-    return draws
+    return _float_pmfs(V.constraints.d, cells)
 
 
 def sample_hit_and_run(H: ConstraintMatrix, start: Pmf, cfg: SamplerConfig) -> List[Pmf]:
@@ -148,7 +156,8 @@ def sample_hit_and_run(H: ConstraintMatrix, start: Pmf, cfg: SamplerConfig) -> L
 
     ``start`` must satisfy the constraints (within ``START_TOL``) and be
     nonnegative.  On a zero-dimensional polytope the single point is
-    repeated ``count`` times.
+    repeated ``count`` times.  The walk moves in ``H.kernel_chart``, built
+    on the first walk on H.
     """
     p0 = start.to_float() if start.mode != FLOAT else start
     if 2**p0.d != H.n_cols:
@@ -157,20 +166,18 @@ def sample_hit_and_run(H: ConstraintMatrix, start: Pmf, cfg: SamplerConfig) -> L
     if res > START_TOL:
         raise DomainError(f"start point violates the constraints (residual {res:.3e})")
 
-    # Exact rational kernel of [H; ones], orthonormalized in floating point.
-    basis = frac_nullspace(np.vstack([H.int_rows, np.ones(H.n_cols, dtype=np.int64)]), H.n_cols)
-    if not basis:
+    N = H.kernel_chart
+    n, k = N.shape
+    if not k:
         _log("hitrun", 0, cfg.count, 0)
         return [p0] * cfg.count
-    B = np.array([[float(v) for v in vec] for vec in basis], dtype=float).T
-    N, _ = np.linalg.qr(B)
-    n, k = N.shape
 
     x0 = np.array(p0.cells, dtype=float)
     c = np.zeros(k)
     point = x0.copy()
     rng = _rng(cfg.seed)
-    draws: List[Pmf] = []
+    draws = np.empty((cfg.count, n))
+    kept = 0
     steps_until_keep = cfg.burn_in
     steps = degenerate = 0
     # one block row per step: u1 and u2 for Box-Muller, then the chord uniform t
@@ -180,7 +187,7 @@ def sample_hit_and_run(H: ConstraintMatrix, start: Pmf, cfg: SamplerConfig) -> L
     stream = np.empty(0)
     max_reduce, min_reduce = np.maximum.reduce, np.minimum.reduce
 
-    while len(draws) < cfg.count:
+    while kept < cfg.count:
         if len(stream) < stride:
             stream = np.concatenate([stream, rng.random(rows * stride)])
         block = stream[: len(stream) // stride * stride].reshape(-1, stride)
@@ -216,9 +223,10 @@ def sample_hit_and_run(H: ConstraintMatrix, start: Pmf, cfg: SamplerConfig) -> L
                 steps_until_keep -= 1
                 continue
             steps_until_keep = cfg.thinning
-            draws.append(Pmf(d=p0.d, cells=tuple(np.maximum(point, 0.0).tolist()), mode=FLOAT))
-            if len(draws) == cfg.count:
+            np.maximum(point, 0.0, out=draws[kept])
+            kept += 1
+            if kept == cfg.count:
                 break
         stream = stream[used:]
-    _log("hitrun", steps, len(draws), degenerate)
-    return draws
+    _log("hitrun", steps, kept, degenerate)
+    return _float_pmfs(p0.d, draws)

@@ -162,18 +162,23 @@ class Pmf:
         return cls(d=d, cells=tuple(cells), mode=mode, total=total)
 
     @classmethod
-    def _valid_rational(cls, d: int, cells: tuple) -> "Pmf":
-        """A rational pmf built without ``__post_init__``; for cells already proved valid.
+    def _valid(cls, d: int, cells: tuple, mode: str) -> "Pmf":
+        """A pmf built without ``__post_init__``; for cells already proved valid.
 
         The caller guarantees what the validation would check: ``d >= 2``,
-        ``2^d`` cells, each a nonnegative ``Fraction``, summing to exactly 1.
-        ``VertexSet.vertices`` relies on it: :func:`bintab.geometry.enumerate_vertices`
-        checks ``d >= 2``, ``2^d`` columns, every ray entry >= 0 and every
-        ray sum s > 0, so ray / s is nonnegative and sums to 1; a vertex file
-        validates each vertex as a pmf when it is loaded.
+        ``2^d`` cells, and for ``mode`` rational each a nonnegative
+        ``Fraction``, summing to exactly 1, for ``mode`` float each a finite
+        nonnegative float with an ``fsum`` within ``FLOAT_SUM_TOL`` of 1.
+        Two callers rely on it:
+
+        * ``VertexSet.vertices``: :func:`bintab.geometry.enumerate_vertices`
+          checks ``d >= 2``, ``2^d`` columns, every ray entry >= 0 and every
+          ray sum s > 0, so ray / s is nonnegative and sums to 1; a vertex
+          file validates each vertex as a pmf when it is loaded.
+        * :func:`_float_pmfs`, which checks a whole block of float draws at once.
         """
         p = object.__new__(cls)
-        p.__dict__.update(d=d, cells=cells, mode=RATIONAL, total=None)
+        p.__dict__.update(d=d, cells=cells, mode=mode, total=None)
         return p
 
     @classmethod
@@ -220,6 +225,30 @@ class Pmf:
 
     def support_size(self) -> int:
         return sum(1 for c in self.cells if c != 0)
+
+
+def _float_pmfs(d: int, block) -> list:
+    """The rows of a (draws x 2^d) float array as float pmfs, validated as one block.
+
+    The constructor's checks, made once for the block: every cell finite
+    and >= 0, and each row's ``fsum`` within ``FLOAT_SUM_TOL`` of 1, read at
+    call time.  When the block fails, the rows are checked in order by
+    :func:`_probability_vector`, which raises the constructor's
+    :class:`DomainError` for the first failing row.  The caller guarantees
+    ``d >= 2`` and ``2^d`` columns.
+    """
+    rows = block.tolist()
+    try:
+        # a NaN fails both comparisons, an infinity the second
+        valid = bool(((block >= 0) & (block < math.inf)).all()) and all(
+            abs(math.fsum(row) - 1.0) <= FLOAT_SUM_TOL for row in rows
+        )
+    except OverflowError:
+        valid = False
+    if not valid:
+        for row in rows:
+            _probability_vector(row, False, "cell probability", FLOAT_SUM_TOL)
+    return [Pmf._valid(d, tuple(row), FLOAT) for row in rows]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bintab import (
+    ConstraintMatrix,
     DomainError,
     InfeasibleTargetsError,
     MarginTargets,
@@ -34,6 +35,8 @@ from conftest import (
     reference_targets,
     reference_uniform_moment,
 )
+from bintab._linalg import _integer_rows
+from bintab.constraints import MAX_DIGITS
 
 F = Fraction
 
@@ -97,6 +100,13 @@ class TestMomentForMargins:
     def test_degenerate_margin_rejected(self):
         with pytest.raises(DomainError):
             moment_for_margins(F(1, 2), F(1), F(1, 2), 3)
+
+    def test_digits_bound(self):
+        mu = moment_for_margins(F(3), F(1, 2), F(1, 2), MAX_DIGITS)
+        assert mu.denominator <= 10**MAX_DIGITS and len(str(mu.denominator)) <= MAX_DIGITS + 1
+        for digits in (-1, MAX_DIGITS + 1):
+            with pytest.raises(DomainError, match=rf"digits must be in 0\.\.{MAX_DIGITS}, got {digits}"):
+                moment_for_margins(F(3), F(1, 2), F(1, 2), digits)
 
     def test_rounding_stays_inside_frechet_interval(self):
         # the table (1, 1, 15, 9)/26: margins 12/13 and 5/13, odds ratio 3/5,
@@ -398,6 +408,24 @@ class TestIntRows:
             assert not past_bound
         elif margins == "uniform":
             assert past_bound
+
+    @pytest.mark.parametrize("margins", ["uniform", "observed"])
+    def test_closed_form_rows_equal_the_scaled_rational_rows(self, margins):
+        # build_H emits each primitive row in closed form; a hand-built H scales its rows
+        rng = random.Random(21)
+        dtypes = set()
+        for d in range(2, 8):
+            for digits in range(21):
+                H = build_H(targets_from_pmf(random_rational_pmf(rng, d, positive=True), digits=digits, margins=margins))
+                expected = [list(row) for row in _integer_rows(H.rows)]
+                assert H.int_rows.tolist() == expected
+                hand_built = ConstraintMatrix(d=H.d, rows=H.rows, labels=H.labels, targets=H.targets)
+                assert hand_built.primitive_rows is None and hand_built == H
+                assert hand_built.int_rows.tolist() == expected
+                assert hand_built.int_rows.dtype == H.int_rows.dtype
+                dtypes.add(H.int_rows.dtype)
+        # both sides of the int64 bound are covered
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
     def test_built_once_and_read_only(self, example1_H3):
         H = build_H(example1_H3.targets)

@@ -323,7 +323,8 @@ class TestVertexMatrix:
         # a write would corrupt the later .vertices, decompose and sample_dirichlet
         V = enumerate_vertices(build_H(targets_from_pmf(water, digits=digits)))
         loaded = vertexset_from_json(json.dumps(vertexset_to_json_dict(V)))
-        for array in (V.keys, V.float_matrix, loaded.keys, loaded.float_matrix, V.constraints.int_rows):
+        H = V.constraints
+        for array in (V.keys, V.float_matrix, loaded.keys, loaded.float_matrix, H.int_rows, H.kernel_chart):
             with pytest.raises(ValueError):
                 array[0, 0] = 1
         assert V.vertices[0].cells == tuple(F(k, V.scale) for k in V.keys[0].tolist())
@@ -529,6 +530,21 @@ class TestInteriorCertificate:
         V = enumerate_vertices(H)
         centroid = mixture(MixtureWeights(tuple(F(1, len(V)) for _ in V.vertices)), V)
         assert tuple(F(v, sum(y)) for v in y) == centroid.cells
+
+    def test_one_attempt_per_system(self, water, caplog):
+        H = build_H(targets_from_pmf(water, digits=3))
+        with caplog.at_level(logging.DEBUG, logger="bintab.geometry"):
+            assert polytope_dimension(H) == polytope_dimension(H) == 5
+        records = [r.args for r in caplog.records if r.name == "bintab.geometry" and "certified" in r.args]
+        assert records == [{"certified": True, "rank": 10}]
+        assert H.relative_interior is H.__dict__["relative_interior"]
+
+    def test_empty_system_raises_on_every_read(self):
+        H = build_H(MarginTargets.uniform(3, {(1, 2): F(1, 10), (1, 3): F(1, 10), (2, 3): F(1, 10)}))
+        for _ in range(2):
+            with pytest.raises(EmptyFeasibleSetError):
+                polytope_dimension(H)
+        assert "relative_interior" not in H.__dict__
 
     def test_one_record_per_attempt(self, water, caplog):
         with caplog.at_level(logging.DEBUG, logger="bintab.geometry"):

@@ -422,9 +422,9 @@ class TestCliVertices:
             assert "No such option" in result.output
 
 
-def _assert_one_error_line(result, *fragments):
-    """Exit 3 through the CLI's own handler: one ``error:`` line, nothing else, no traceback."""
-    assert result.exit_code == 3, result.output
+def _assert_one_error_line(result, *fragments, code=3):
+    """Exit ``code`` through the CLI's own handler: one ``error:`` line, nothing else, no traceback."""
+    assert result.exit_code == code, result.output
     assert isinstance(result.exception, SystemExit), result.exception
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.output
@@ -612,6 +612,12 @@ class TestCliPipelines:
     def test_targets_negative_digits_exit_code(self, runner):
         result = runner.invoke(main, ["targets", "builtin:water", "--digits", "-1"])
         assert result.exit_code == 4, result.output
+
+    @pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["text", "json"])
+    def test_targets_digits_past_the_bound(self, runner, as_json):
+        # printed, 100,000-digit targets would pass Python's 4,300-digit int-to-string limit
+        result = runner.invoke(main, ["targets", "builtin:water", "--digits", "100000", *as_json])
+        _assert_one_error_line(result, "digits must be in 0..1000, got 100000", code=4)
 
     def test_targets_and_constraints(self, runner):
         result = runner.invoke(main, ["targets", "builtin:example1", "--digits", "3", "--json"])

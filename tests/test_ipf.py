@@ -1,7 +1,9 @@
 """Proportional-fitting baseline: convergence and the no-interaction contract."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bintab import (
@@ -18,6 +20,8 @@ from bintab import (
     top_order_odds_ratio,
     zero_mean_params,
 )
+from bintab.constraints import DEFAULT_MAX_ITER, DEFAULT_TOL
+from conftest import random_rational_pmf
 
 F = Fraction
 
@@ -152,3 +156,53 @@ class TestFrechetBoundary:
         assert report.final_residual == 0.0
         assert report.table.cells == tuple(float(c) for c in cells)
         assert max(abs(r) for r in residual(build_H(targets), report.table)) == 0
+
+
+def reference_ipf(targets, tol, max_iter):
+    """IPF with every block sum a 1-D numpy sum of the block's cells, gathered in cell order.
+
+    Returns the cells, the sweep count and the last max deviation of a 2x2
+    margin from its target.
+    """
+    d = targets.d
+    n = 2**d
+    x = np.full(n, 1.0 / n)
+    pairs = []
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            a, b = targets.univariate[i - 1], targets.univariate[j - 1]
+            mu = targets.moments[(i, j)]
+            target = np.array([float(t) for t in (1 - a - b + mu, b - mu, a - mu, mu)])
+            blocks = [
+                np.array([k for k in range(n) if ((k >> (d - i)) & 1, (k >> (d - j)) & 1) == (k1, k2)])
+                for k1 in (0, 1)
+                for k2 in (0, 1)
+            ]
+            pairs.append((blocks, target))
+
+    def block_sums(blocks):
+        return np.array([x[cells].sum() for cells in blocks])
+
+    sweeps = 0
+    while sweeps < max_iter:
+        for blocks, target in pairs:
+            s = block_sums(blocks)
+            for cells, factor in zip(blocks, np.divide(target, s, out=np.ones(4), where=s > 0)):
+                x[cells] *= factor
+        x /= x.sum()
+        sweeps += 1
+        deviation = max(np.abs(block_sums(blocks) - target).max() for blocks, target in pairs)
+        if deviation <= tol:
+            break
+    return tuple(x.tolist()), sweeps, float(deviation)
+
+
+class TestBlockSums:
+    @pytest.mark.parametrize("margins", ["uniform", "observed"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_per_block_reference_bit_for_bit(self, d, margins):
+        targets = targets_from_pmf(random_rational_pmf(random.Random(d), d, positive=True), digits=3, margins=margins)
+        for tol, max_iter in ((DEFAULT_TOL, DEFAULT_MAX_ITER), (0.0, 7)):
+            report = ipf_max_entropy(targets, tol=tol, max_iter=max_iter)
+            cells, sweeps, deviation = reference_ipf(targets, tol, max_iter)
+            assert (report.table.cells, report.iterations, report.final_residual) == (cells, sweeps, deviation)

@@ -318,6 +318,48 @@ class TestByteIdentity:
         assert [p.cells for p in sample_dirichlet(V, cfg)] == [p.cells for p in reference_dirichlet(V, cfg)]
 
 
+class TestPreparedSystem:
+    def test_repeated_walks_on_one_H_match_the_reference(self, request):
+        # the second walk reads the chart the first one built
+        H, _, start = _system(request, "water")
+        for seed in (31, 32):
+            cfg = SamplerConfig(seed=seed, count=20, burn_in=50, thinning=2)
+            assert [p.cells for p in sample_hit_and_run(H, start, cfg)] == [
+                p.cells for p in reference_hit_and_run(H, start, cfg)
+            ]
+        chart = H.__dict__["kernel_chart"]
+        assert H.kernel_chart is chart
+        assert not chart.flags.writeable
+
+    @pytest.mark.parametrize("name", ["zero_dim_d2", "example1"])
+    def test_chart_spans_the_exact_kernel(self, request, name):
+        H, _, _ = _system(request, name)
+        k = len(reference_nullspace(list(H.rows) + [tuple([F(1)] * H.n_cols)], H.n_cols))
+        chart = H.kernel_chart
+        assert chart.shape == (H.n_cols, k)
+        assert np.allclose(chart.T @ chart, np.eye(k))
+        assert np.abs(np.array([[float(v) for v in row] for row in H.rows]) @ chart).max(initial=0) < 1e-12
+        assert np.abs(chart.sum(axis=0)).max(initial=0) < 1e-12
+
+    @pytest.mark.parametrize("method", ["dirichlet", "hitrun"])
+    def test_every_failing_draw_raises_the_constructor_message(self, request, monkeypatch, method):
+        H, V, start = _system(request, "water")
+        start = start.to_float()
+        cfg = SamplerConfig(seed=9, count=5, burn_in=3, thinning=1)
+
+        def draws():
+            return sample_dirichlet(V, cfg) if method == "dirichlet" else sample_hit_and_run(H, start, cfg)
+
+        first = draws()[0]
+        # no sum is within a negative tolerance, so every draw fails and the first one is reported
+        monkeypatch.setattr(bintab.table, "FLOAT_SUM_TOL", -1.0)
+        with pytest.raises(DomainError, match="cell probability sum") as expected:
+            Pmf(d=first.d, cells=first.cells, mode=FLOAT)
+        with pytest.raises(DomainError) as got:
+            draws()
+        assert str(got.value) == str(expected.value)
+
+
 class TestSamplerLogging:
     def _record(self, caplog, run):
         with caplog.at_level(logging.DEBUG, logger="bintab.sampling"):

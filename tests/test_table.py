@@ -21,6 +21,7 @@ from bintab import (
     univariate_margin,
 )
 from bintab.datasets import WATER_COUNTS
+from bintab.table import _float_pmfs
 
 F = Fraction
 
@@ -105,6 +106,41 @@ class TestPmfValidation:
         q = p.to_float()
         assert q.mode == "float"
         assert q.to_rational().cells == p.cells
+
+
+class TestFloatBlocks:
+    """``_float_pmfs`` checks a block of float rows once, as the constructor checks each row."""
+
+    GOOD = [0.25, 0.25, 0.25, 0.25]
+
+    def test_valid_block_builds_what_the_constructor_builds(self):
+        import numpy as np
+
+        rows = [self.GOOD, [0.1, 0.2, 0.3, 0.4], [0.0, 0.5, 0.5, 0.0]]
+        built = _float_pmfs(2, np.array(rows))
+        assert built == [Pmf(d=2, cells=tuple(row), mode="float") for row in rows]
+        assert all(type(c) is float for p in built for c in p.cells)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [0.5, 0.5, -0.0, -1e-300],
+            [0.5, math.nan, 0.25, 0.25],
+            [0.5, math.inf, 0.25, 0.25],
+            [0.5, 0.5, 0.25, 0.25],
+            [1e308, 1e308, 0.0, 0.0],
+            [-0.5, math.nan, 1.0, 0.5],
+        ],
+        ids=["negative", "nan", "inf", "sum", "overflow", "negative_and_nan"],
+    )
+    def test_first_failing_row_raises_the_constructor_message(self, bad):
+        import numpy as np
+
+        with pytest.raises(DomainError) as expected:
+            Pmf(d=2, cells=tuple(bad), mode="float")
+        with pytest.raises(DomainError) as got:
+            _float_pmfs(2, np.array([self.GOOD, bad, [1.0, 1.0, 1.0, 1.0]]))
+        assert str(got.value) == str(expected.value)
 
 
 class TestMargins:
