@@ -36,6 +36,8 @@ system determines and the queries on it read:
 
 * ``int_rows``, the read-only matrix of the primitive integer rows, which
   every exact reader of H uses;
+* ``float_rows``, the rows with each entry converted to a float, which
+  :func:`residual` reads for a float pmf (the hit-and-run start check);
 * ``relative_interior``, an exact relative-interior point and the affine
   dimension of the polytope (:func:`bintab.geometry._relative_interior`),
   read by ``polytope_dimension`` and the CLI hit-and-run start;
@@ -318,6 +320,11 @@ class ConstraintMatrix:
         return rows
 
     @functools.cached_property
+    def float_rows(self) -> Tuple[Tuple[float, ...], ...]:
+        """The rows as floats, each entry ``float(h)``: what :func:`residual` reads for a float pmf."""
+        return tuple(tuple(map(float, row)) for row in self.rows)
+
+    @functools.cached_property
     def relative_interior(self) -> Tuple[Tuple[int, ...], int]:
         """An exact relative-interior point of the feasible cone and the polytope's affine dimension.
 
@@ -386,7 +393,7 @@ def residual(H: ConstraintMatrix, p: Pmf) -> tuple:
         raise DimensionMismatchError(f"pmf has {2**p.d} cells but H has {H.n_cols} columns")
     if p.mode == RATIONAL:
         return tuple(sum(h * c for h, c in zip(row, p.cells)) for row in H.rows)
-    return tuple(math.fsum(float(h) * c for h, c in zip(row, p.cells)) for row in H.rows)
+    return tuple(math.fsum(h * c for h, c in zip(row, p.cells)) for row in H.float_rows)
 
 
 def satisfies(H: ConstraintMatrix, p: Pmf, tol: Scalar = 0) -> bool:

@@ -35,14 +35,21 @@ already on the hyperplane.
 Each row is one pass of whole-array numpy operations over the (rays x 2^d)
 integer matrix R of the current rays:
 
-* the values ``R @ h`` split the rays into zero, positive and negative;
+* the values ``R @ h`` and one sign split: a stable argsort of their signs
+  lists the negative, zero and positive rays, each in index order, and a
+  count of each sign cuts them apart;
 * the popcount bound, a necessary condition on each split pair: the rank is
   at most the number of rows inserted so far, so ``|S| <= rows + 2``.  The
   ray supports are kept as a (rays x ceil(2^d / 64)) ``uint64`` array of
-  bit masks, and the unions are formed for blocks of positive rays against
-  all negative rays at once, each block about 1 MB;
-* the subset count over all pairs within the bound, in chunks of about
-  1 MB: a pair is adjacent when exactly 2 masks lie inside its union;
+  bit masks; the masks of the positive and of the negative rays are
+  gathered once, and for blocks of positive rays against all negative rays
+  (about 1 MB of unions per word) the popcount is added up word by word.
+  The flat indices of the pairs within the bound, from ``flatnonzero``,
+  give the pairs in pos-major, neg-minor order through one ``divmod``;
+* the subset count over those pairs, in chunks of about 1 MB: a ray lies
+  inside a union when masking it by the union leaves it unchanged, one
+  AND and one compare per word, and a pair is adjacent when exactly 2
+  rays lie inside its union;
 * one expression ``(h.r_a) r_b - (h.r_b) r_a`` builds every new ray, and
   the gcd of each row makes it primitive.  New rays follow the rays on the
   hyperplane in pos-major, neg-minor pair order.
@@ -50,12 +57,33 @@ integer matrix R of the current rays:
 R is int64 only while a bound computed from the data proves that no
 intermediate overflows (``_linalg._exact``): ``n * max|h| * max|R| < 2^62``
 before the values, ``2 * max|h.r| * max|R| < 2^62`` before the
-combination.  Otherwise the same operations run on Python ints
-(``dtype=object``), so results stay exact for any target precision.
+combination, with one ``max|R|`` per row.  Otherwise the same operations
+run on Python ints (``dtype=object``), so results stay exact for any
+target precision.
 
 Each inserted row emits one debug record on the ``bintab.geometry`` logger
 with its counts: rays in and out, candidate pairs, and pairs left after
 each filter.
+
+The shared margin cone.  Every system of one d with uniform margins starts
+with the same d margin rows, and the adjacency test depends only on the
+rows inserted so far, so the cone after an identical row prefix is the
+same object, rays in the same order, whichever rows follow.
+:func:`_extreme_rays` takes the cone after H's leading margin rows from
+:func:`_margin_cone`, a ``functools.lru_cache`` of at most
+``_MARGIN_CONES`` = 4 cones keyed by the number of cells, the margin labels
+and their exact integer rows, and inserts only the rows after them; a
+uniform-margin d=4 system inserts its 6 moment rows into the 48 rays of
+the margin polytope, and the d=5 margin polytope (2,712 rays, about 0.7 MB)
+is built once.  Observed margins differ from system to system, so their
+cones are built and cached each time; at d=5 such a cone can hold tens of
+thousands of rays (29,272, about 7.5 MB, on one test system), which is
+what keeps the cache this small.  The key also holds
+``_linalg._INT64_BOUND``, so a cone built under one overflow rule never
+serves another and the rays keep the dtype a build from scratch gives
+them.  A cached cone holds its read-only rays and masks, the label of the
+row that emptied it, if one did, and each row's debug record, which is
+emitted again on every use, so the row trace is complete either way.
 
 Nonemptiness, the affine dimension and the hit-and-run start all come
 from one exact relative-interior point (:func:`_relative_interior`).  A
@@ -102,6 +130,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import _linalg
 from ._linalg import _exact, _int_rref, _max_abs, frac_solve
 from .constraints import ConstraintMatrix
 from .errors import (
@@ -114,6 +143,9 @@ from .table import FLOAT, RATIONAL, Pmf, _probability_vector, float_cells
 
 #: Size of the (candidate pairs x rays) block of one vectorized subset test.
 _SUBSET_BLOCK_BYTES = 1 << 20
+
+#: Most margin cones :func:`_margin_cone` keeps.
+_MARGIN_CONES = 4
 
 logger = logging.getLogger(__name__)
 
@@ -199,26 +231,30 @@ def _adjacent_pairs(masks: np.ndarray, pos: np.ndarray, neg: np.ndarray, inserte
     n_words = masks.shape[1]
     # rank(A_S) <= inserted, so an adjacent pair has |S| <= inserted + 2
     max_support = inserted + 2
-    block = max(1, _SUBSET_BLOCK_BYTES // (8 * len(neg) * n_words))
-    ip, im = [], []
+    masks_pos, masks_neg = masks[pos], masks[neg]
+    # a popcount is at most 64 * n_words, which uint8 holds below 4 words
+    count_dtype = np.uint8 if n_words < 4 else np.uint16
+    block = max(1, _SUBSET_BLOCK_BYTES // (8 * len(neg)))
+    flat = []
     for start in range(0, len(pos), block):
-        part = pos[start : start + block]
-        unions = masks[part, None, :] | masks[None, neg, :]
-        a, b = np.nonzero(np.bitwise_count(unions).sum(axis=2) <= max_support)
-        ip.append(part[a])
-        im.append(neg[b])
-    ip, im = np.concatenate(ip), np.concatenate(im)
+        part = masks_pos[start : start + block]
+        support = np.empty((len(part), len(neg)), count_dtype)
+        np.bitwise_count(part[:, None, 0] | masks_neg[None, :, 0], out=support)
+        for w in range(1, n_words):
+            support += np.bitwise_count(part[:, None, w] | masks_neg[None, :, w])
+        flat.append(np.flatnonzero(support <= max_support) + start * len(neg))
+    a, b = divmod(np.concatenate(flat), len(neg))
     chunk = max(1, _SUBSET_BLOCK_BYTES // (8 * len(masks)))
-    adjacent = np.zeros(len(ip), dtype=bool)
-    for start in range(0, len(ip), chunk):
+    adjacent = np.empty(len(a), dtype=bool)
+    for start in range(0, len(a), chunk):
         stop = start + chunk
-        unions = masks[ip[start:stop]] | masks[im[start:stop]]
-        outside = np.zeros((len(unions), len(masks)), dtype=bool)
-        for w in range(n_words):
-            outside |= (masks[:, w] & ~unions[:, w, None]) != 0
+        unions = masks_pos[a[start:stop]] | masks_neg[b[start:stop]]
+        inside = (masks[:, 0] & unions[:, 0, None]) == masks[:, 0]
+        for w in range(1, n_words):
+            inside &= (masks[:, w] & unions[:, w, None]) == masks[:, w]
         # the pair itself always lies inside its union; a third ray there rules it out
-        adjacent[start:stop] = np.count_nonzero(~outside, axis=1) == 2
-    return ip[adjacent], im[adjacent], len(ip)
+        adjacent[start:stop] = inside.sum(axis=1) == 2
+    return pos[a[adjacent]], neg[b[adjacent]], len(a)
 
 
 def _insert_equality(
@@ -232,24 +268,72 @@ def _insert_equality(
     ``R`` holds one ray per row, ``h`` is one row of ``int_rows`` and
     ``inserted`` is the number of rows inserted before ``h``.
     """
-    R, h = _exact(len(h) * _max_abs(h) * _max_abs(R), R, h)
+    r_max = _max_abs(R)
+    R, h = _exact(len(h) * _max_abs(h) * r_max, R, h)
     vals = R @ h
-    zero, pos, neg = np.flatnonzero(vals == 0), np.flatnonzero(vals > 0), np.flatnonzero(vals < 0)
+    # rays by sign, each group in index order: negative, zero, positive
+    sign = np.sign(vals).astype(np.int8)
+    order = np.argsort(sign, kind="stable")
+    n_neg, n_zero, n_pos = np.bincount(sign + 1, minlength=3).tolist()
+    neg, zero, pos = order[:n_neg], order[n_neg : n_neg + n_zero], order[n_neg + n_zero :]
     counts = {
         "rays_in": len(R),
-        "candidate_pairs": len(pos) * len(neg),
+        "candidate_pairs": n_pos * n_neg,
         "popcount_pairs": 0,
         "subset_pairs": 0,
     }
-    if not len(pos) or not len(neg):
+    if not n_pos or not n_neg:
         return R[zero], masks[zero], counts
     a, b, counts["popcount_pairs"] = _adjacent_pairs(masks, pos, neg, inserted)
     counts["subset_pairs"] = len(a)
-    R, vals = _exact(2 * _max_abs(vals) * _max_abs(R), R, vals)
+    R, vals = _exact(2 * _max_abs(vals) * r_max, R, vals)
     # vals[a] > 0 > vals[b]: a positive combination of r_a and r_b on the hyperplane
     new = vals[a, None] * R[b] - vals[b, None] * R[a]
     new //= np.gcd.reduce(new, axis=1)[:, None]
     return np.concatenate([R[zero], new]), np.concatenate([masks[zero], _mask_words(new)]), counts
+
+
+def _log_row(counts: dict) -> None:
+    logger.debug(
+        "row %(row)s: %(rays_in)d -> %(rays_out)d rays; %(candidate_pairs)d candidate pairs, "
+        "%(popcount_pairs)d within the popcount bound, %(subset_pairs)d adjacent",
+        counts,
+    )
+
+
+def _insert_rows(R: np.ndarray, masks: np.ndarray, inserted: int, labels: Sequence, rows, record):
+    """Insert ``rows`` in order after ``inserted`` earlier ones, passing each row's counts to ``record``.
+
+    Returns the ray matrix, its masks and the label of the row that emptied
+    the cone (None when none did).
+    """
+    for inserted, (label, h) in enumerate(zip(labels, rows), inserted):
+        R, masks, counts = _insert_equality(R, masks, inserted, h)
+        counts.update(row=label, rays_out=len(R))
+        record(counts)
+        if not len(R):
+            return R, masks, label
+    return R, masks, None
+
+
+@dataclass(frozen=True, eq=False)
+class _Cone:
+    """The cone after a row prefix: read-only rays and masks, the emptying label, and each row's counts."""
+
+    R: np.ndarray
+    masks: np.ndarray
+    emptied: Optional[tuple]
+    records: Tuple[dict, ...]
+
+
+@functools.lru_cache(maxsize=_MARGIN_CONES)
+def _margin_cone(n_cols: int, labels: tuple, rows: tuple, int64_bound: int) -> _Cone:
+    """The cone after the margin rows ``rows``, from the orthant; ``int64_bound`` only keys the cache."""
+    R = np.eye(n_cols, dtype=np.int64)
+    records = []
+    R, masks, emptied = _insert_rows(R, _mask_words(R), 0, labels, np.array(rows, dtype=object), records.append)
+    R.flags.writeable = masks.flags.writeable = False
+    return _Cone(R, masks, emptied, tuple(records))
 
 
 def _extreme_rays(H: ConstraintMatrix) -> Tuple[np.ndarray, Optional[tuple]]:
@@ -257,21 +341,19 @@ def _extreme_rays(H: ConstraintMatrix) -> Tuple[np.ndarray, Optional[tuple]]:
 
     The rays are the rows of one integer matrix (int64, or Python ints past
     the overflow bound), each primitive; the label is None unless the cone
-    is {0}, when the matrix has no rows.
+    is {0}, when the matrix has no rows.  The cone after H's leading margin
+    rows comes from :func:`_margin_cone`, whose row records are logged
+    again; the rest of the rows are inserted here.
     """
-    R = np.eye(H.n_cols, dtype=np.int64)
-    masks = _mask_words(R)
-    for inserted, (label, h) in enumerate(zip(H.labels, H.int_rows)):
-        R, masks, counts = _insert_equality(R, masks, inserted, h)
-        counts.update(row=label, rays_out=len(R))
-        logger.debug(
-            "row %(row)s: %(rays_in)d -> %(rays_out)d rays; %(candidate_pairs)d candidate pairs, "
-            "%(popcount_pairs)d within the popcount bound, %(subset_pairs)d adjacent",
-            counts,
-        )
-        if not len(R):
-            return R, label
-    return R, None
+    k = next((r for r, label in enumerate(H.labels) if label[0] != "margin"), H.n_rows)
+    margin_rows = tuple(map(tuple, H.int_rows[:k].tolist()))
+    cone = _margin_cone(H.n_cols, H.labels[:k], margin_rows, _linalg._INT64_BOUND)
+    for counts in cone.records:
+        _log_row(dict(counts))
+    if cone.emptied is not None:
+        return cone.R, cone.emptied
+    R, _, emptied = _insert_rows(cone.R, cone.masks, k, H.labels[k:], H.int_rows[k:], _log_row)
+    return R, emptied
 
 
 def enumerate_vertices(H: ConstraintMatrix) -> VertexSet:

@@ -1,13 +1,18 @@
 """Iterative proportional fitting onto the target bivariate margins.
 
-Starting from the uniform table, each sweep rescales the four blocks of
-every axis pair to match the 2x2 margin implied by the targets.  The
-procedure converges to the unique feasible table whose log-linear
-interactions of order three and higher all vanish; equivalently, all
-higher-order odds ratios equal one.  It is the classical maximum-entropy
-selection and serves as the single-table baseline against which the full
-feasible set is contrasted: it cannot represent any genuine higher-order
-dependence.
+Each sweep rescales the four blocks of every axis pair to match the 2x2
+margin implied by the targets.  The fit starts from the uniform table on
+S, the cells some feasible table uses, which the exact relative-interior
+point ``H.relative_interior`` shows.  Every feasible table is zero off S
+and the updates are multiplicative, so those cells stay zero: on a
+degenerate polytope (targets on a Frechet bound, say) the sweeps need not
+drive them towards zero, which they approach only slowly.  When S is
+every cell, the start is the uniform table.  The procedure converges to
+the unique feasible table whose log-linear interactions of order three
+and higher all vanish; equivalently, all higher-order odds ratios equal
+one.  It is the classical maximum-entropy selection and serves as the
+single-table baseline against which the full feasible set is contrasted:
+it cannot represent any genuine higher-order dependence.
 
 The table is a ``(2,) * d`` array in cell order.  A pair sees it with its
 two axes in front, so block (k1, k2) is ``view[k1, k2]`` and one broadcast
@@ -75,10 +80,15 @@ def ipf_max_entropy(
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0):
         raise DomainError(f"tol must be finite and >= 0, got {tol}")
-    build_H(targets).relative_interior  # raises EmptyFeasibleSetError when no table is feasible
+    # raises EmptyFeasibleSetError when no table is feasible
+    interior, _ = build_H(targets).relative_interior
 
     d = targets.d
-    x = np.full((2,) * d, 1.0 / 2**d)
+    # the uniform table on S, the cells some feasible table uses (see the module note)
+    support = np.array([v > 0 for v in interior])
+    x = np.zeros(2**d)
+    x[support] = 1.0 / np.count_nonzero(support)
+    x = x.reshape((2,) * d)
     # every update is in place, so each pair's view (its two axes in front) stays live
     pairs = [
         (np.moveaxis(x, (i - 1, j - 1), (0, 1)), np.array([float(t) for t in targets.pair_margin_table(i, j)]))

@@ -459,6 +459,18 @@ class TestResidual:
                     expected = example1_H3.targets.moments[pair] - second_order_moment(p, *pair)
                     assert value == expected
 
+    def test_float_pmfs_read_the_float_rows(self, example1, water):
+        rng = random.Random(5)
+        observed = build_H(targets_from_pmf(example1, digits=3, margins="observed"))
+        for H in (observed, build_H(targets_from_pmf(water, digits=3))):
+            for _ in range(10):
+                weights = [rng.random() for _ in range(H.n_cols)]
+                p = Pmf.from_cells([w / sum(weights) for w in weights], mode="float")
+                # each rational entry converted on the fly, as before the float rows were cached
+                expected = tuple(math.fsum(float(h) * c for h, c in zip(row, p.cells)) for row in H.rows)
+                assert residual(H, p) == expected
+            assert H.float_rows is H.float_rows
+
     def test_dimension_mismatch(self, example1_H3):
         with pytest.raises(DomainError):
             residual(example1_H3, Pmf.uniform(4))

@@ -244,6 +244,96 @@ class TestExtremeRays:
             assert {v.cells for v in enumerate_vertices(permuted).vertices} == base
 
 
+def prefix_H(H, k):
+    """The first ``k`` rows of H as a hand-built system."""
+    return ConstraintMatrix(d=H.d, rows=H.rows[:k], labels=H.labels[:k], targets=H.targets)
+
+
+def reordered_H(H, order):
+    """H with its rows in the given order."""
+    return ConstraintMatrix(
+        d=H.d, rows=tuple(H.rows[i] for i in order), labels=tuple(H.labels[i] for i in order), targets=H.targets
+    )
+
+
+def logged_rays(H, caplog):
+    """``_extreme_rays(H)`` and the mapping arguments of the row records it logs."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="bintab.geometry"):
+        rays, certificate = _extreme_rays(H)
+    return rays, certificate, [r.args for r in caplog.records if r.name == "bintab.geometry"]
+
+
+def margin_cone_systems():
+    """Systems whose leading margin rows hit or miss the shared margin cone, by id."""
+    rng = random.Random(2201)
+
+    def system(d, margins, digits=1):
+        return build_H(targets_from_pmf(random_rational_pmf(rng, d, positive=True), digits=digits, margins=margins))
+
+    d4 = system(4, "uniform", 2)
+    return {
+        "d3-uniform": system(3, "uniform"),
+        "d3-observed": system(3, "observed"),
+        "d4-uniform": d4,
+        "d4-observed": system(4, "observed"),
+        # the d=5 moment rows take up to seconds each, and observed margins leave more rays for them
+        "d5-uniform": prefix_H(system(5, "uniform"), 6),
+        "d5-observed": prefix_H(system(5, "observed"), 5),
+        "d5-margin": d5_margin_H(),
+        "no-leading-margin": reordered_H(d4, list(reversed(range(10)))),
+        "moment-between-margins": reordered_H(d4, [0, 1, 4, 2, 3, 5, 6, 7, 8, 9]),
+        "empty": build_H(MarginTargets.uniform(3, {(1, 2): F(1, 10), (1, 3): F(1, 10), (2, 3): F(1, 10)})),
+    }
+
+
+class TestMarginCone:
+    @pytest.mark.parametrize("name", list(margin_cone_systems()))
+    def test_warm_cold_and_scratch_agree(self, name, caplog):
+        H = margin_cone_systems()[name]
+        geometry._margin_cone.cache_clear()
+        cold = logged_rays(H, caplog)
+        warm = logged_rays(H, caplog)
+        assert geometry._margin_cone.cache_info().hits == 1
+        # every row from the orthant, with no cached cone
+        R = np.eye(H.n_cols, dtype=np.int64)
+        records = []
+        R, _, certificate = geometry._insert_rows(R, geometry._mask_words(R), 0, H.labels, H.int_rows, records.append)
+        for rays, emptied, logged in (cold, warm):
+            assert rays.dtype == R.dtype
+            assert rays.tolist() == R.tolist()
+            assert emptied == certificate
+            assert logged == records
+        assert [r["row"] for r in records] == list(H.labels[: len(records)])
+        assert (certificate is None) == (name != "empty")
+
+    def test_cached_arrays_are_read_only(self):
+        H = d5_margin_H()
+        rays, _ = _extreme_rays(H)
+        cone = geometry._margin_cone(H.n_cols, H.labels, tuple(map(tuple, H.int_rows.tolist())), _linalg._INT64_BOUND)
+        assert rays is cone.R
+        for array in (cone.R, cone.masks):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+
+    def test_second_uniform_system_inserts_only_its_moment_rows(self, monkeypatch, pool_pmfs):
+        inserted = []
+        original = geometry._insert_equality
+
+        def counting(R, masks, k, h):
+            inserted.append(k)
+            return original(R, masks, k, h)
+
+        monkeypatch.setattr(geometry, "_insert_equality", counting)
+        first, second = (build_H(targets_from_pmf(p, digits=2)) for p in pool_pmfs[:2])
+        assert first.int_rows[:4].tolist() == second.int_rows[:4].tolist()
+        enumerate_vertices(first)
+        inserted.clear()
+        V = enumerate_vertices(second)
+        assert inserted == [4, 5, 6, 7, 8, 9]
+        assert [v.cells for v in V.vertices] == [tuple(F(v, sum(r)) for v in r) for r in reference_rays(second)[0]]
+
+
 class TestIntegerPaths:
     @pytest.mark.parametrize(
         "system, count",

@@ -158,6 +158,18 @@ class TestFrechetBoundary:
         assert max(abs(r) for r in residual(build_H(targets), report.table)) == 0
 
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_equicorrelation_minus_one_third_is_one_table(self, d):
+        # rho = -1/3 (mu = 1/6) is the lowest common correlation: the polytope is one
+        # table on 6 cells, and the other cells start at 0 rather than being driven there
+        targets = MarginTargets.uniform(d, {(i, j): F(1, 6) for i in range(1, d + 1) for j in range(i + 1, d + 1)})
+        (vertex,) = enumerate_vertices(build_H(targets)).vertices
+        report = ipf_max_entropy(targets)
+        assert report.converged
+        assert report.iterations == 1
+        assert max(abs(a - float(b)) for a, b in zip(report.table.cells, vertex.cells)) <= 1e-15
+
+
 def reference_ipf(targets, tol, max_iter):
     """IPF with every block sum a 1-D numpy sum of the block's cells, gathered in cell order.
 
