@@ -170,13 +170,20 @@ class VertexSet:
     def __len__(self) -> int:
         return len(self.keys)
 
+    def key_values(self) -> Tuple[list, dict]:
+        """The key rows as lists of ints, and the cell value ``Fraction(k, scale)`` of each distinct key k.
+
+        Readers of the cells map each row through the dict, so a value is
+        built once however often it occurs: most cells of a vertex are 0.
+        """
+        rows = self.keys.tolist()
+        return rows, {k: Fraction(k, self.scale) for k in set().union(*rows)}
+
     @functools.cached_property
     def vertices(self) -> Tuple[Pmf, ...]:
         """The vertices as rational pmfs, built on first access."""
-        rows = self.keys.tolist()
-        # one Fraction per distinct cell value: most cells of a vertex are 0
-        fraction = {k: Fraction(k, self.scale) for k in set().union(*rows)}
-        return tuple(Pmf._valid(self.constraints.d, tuple(map(fraction.__getitem__, row)), RATIONAL) for row in rows)
+        rows, values = self.key_values()
+        return tuple(Pmf._valid(self.constraints.d, tuple(map(values.__getitem__, row)), RATIONAL) for row in rows)
 
     @functools.cached_property
     def float_matrix(self) -> np.ndarray:

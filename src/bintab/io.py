@@ -274,17 +274,23 @@ def constraints_to_json_dict(H: ConstraintMatrix) -> dict:
 
 
 def vertexset_to_json_dict(V: VertexSet, digits: int = 6) -> dict:
-    """Vertex JSON embeds the generating targets so it can be reloaded alone."""
+    """Vertex JSON embeds the generating targets so it can be reloaded alone.
+
+    Each distinct cell value is formatted once (see ``VertexSet.key_values``).
+    """
+    rows, values = V.key_values()
+    cells = {k: format_rational(v) for k, v in values.items()}
+    decimals = {k: _decimal_str(v, digits) for k, v in values.items()}
     return {
         "d": V.constraints.d,
         "count": len(V),
         "targets": targets_to_json_dict(V.constraints.targets, digits),
         "vertices": [
             {
-                "cells": [format_rational(c) for c in v.cells],
-                "decimals": [_decimal_str(c, digits) for c in v.cells],
+                "cells": list(map(cells.__getitem__, row)),
+                "decimals": list(map(decimals.__getitem__, row)),
             }
-            for v in V.vertices
+            for row in rows
         ],
     }
 

@@ -30,18 +30,39 @@ consuming the stream one step at a time:
 * Hit-and-run: a block row is one walk step in stream order, ``u1`` and
   ``u2`` (``ceil(k/2)`` each, for Box-Muller on the k chart coordinates)
   followed by the one uniform ``t`` that places the point on the chord.
-  The normals, their norms, the directions and the chord masks are
-  computed per block.  A step whose direction has zero norm or whose chord
-  is degenerate resamples the direction without drawing ``t``, so the
-  block rows after it no longer line up with the stream: the rest of the
-  block is derived again from the new stream position.
+  The normals, their norms, the directions and the chord tables (below)
+  are computed per block.  A step whose direction has zero norm or whose
+  chord is degenerate resamples the direction without drawing ``t``, so
+  the block rows after it no longer line up with the stream: the rest of
+  the block is derived again from the new stream position.
 
 Every product with a matrix stays one matrix-vector product per draw or
-step (the mixture ``theta @ M``, the direction ``N @ z`` and the point
-``x0 + N @ c``): a batched matrix-matrix product sums in another order and
-changes the last bits.  The norm of each direction is likewise its own
-``z . z``, the sum ``np.linalg.norm`` takes; an axis reduction does not
-reproduce it.
+step (the mixture ``theta . M``, the direction ``N . z`` and the point
+``x0 + N . c``): a batched matrix-matrix product sums in another order and
+changes the last bits.  Each is one ``ndarray.dot`` call.  ``dot`` and
+``matmul`` both hand a matrix-vector product to the same BLAS ``dgemv``, so
+their bits agree, but ``dot`` skips the ufunc dispatch of ``matmul``: about
+1.1 against 1.7 us on a 16 x 5 chart.  A Python sum of the products rounds
+differently, so the BLAS call stays.  The norm of each direction is
+likewise its own ``z . z``, the sum ``np.linalg.norm`` takes; an axis
+reduction does not reproduce it.
+
+The chord of a step is the interval of t where ``point + t * direction``
+stays >= 0 in every cell whose direction component is past ``CHORD_EPS``
+in size: t >= ``point / -direction`` on the lower cells (direction >
+``CHORD_EPS``) and t <= ``point / -direction`` on the upper cells
+(direction < ``-CHORD_EPS``).  Per block, one ``np.flatnonzero`` of the
+mask ``[-direction, direction] < -CHORD_EPS`` lists each step's lower cells
+and then its upper cells, with their divisors ``-direction`` and
+``+direction``.  Since ``x / -y`` is exactly ``-(x / y)``, one
+``np.maximum.reduceat`` of ``point.take(cells) / divisors`` over the two
+segments gives the lower end and the negated upper end, the same floats
+as a maximum and a minimum of ``point / -direction`` (a zero end may take
+the other sign, which leaves ``t_lo + u * (t_hi - t_lo)`` unchanged; a NaN
+gives NaN either way).  A step with no cell
+on one side (a NaN direction has none on either) has an unbounded chord:
+it is degenerate, found before any reduction, as ``reduceat`` reads an
+empty segment as the one element at its start.
 
 Each sampler writes its draws into one preallocated (draws x cells) array
 and validates them together, once per call
@@ -99,10 +120,10 @@ class SamplerConfig:
         # Philox takes any nonnegative int; a bool is an int subclass but no seed
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.count < 1:
-            raise DomainError(f"count must be >= 1, got {self.count}")
-        if self.burn_in < 0 or self.thinning < 0:
-            raise DomainError("burn_in and thinning must be >= 0")
+        for name, least in (("count", 1), ("burn_in", 0), ("thinning", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -146,7 +167,7 @@ def sample_dirichlet(V: VertexSet, cfg: SamplerConfig) -> List[Pmf]:
             exponentials, totals, out=np.full_like(exponentials, 1.0 / n_d), where=totals > 0
         )
         for theta, row in zip(thetas, block):
-            np.matmul(theta, M, out=row)
+            theta.dot(M, out=row)
     _log("dirichlet", cfg.count, cfg.count, 0)
     return _float_pmfs(V.constraints.d, cells)
 
@@ -185,7 +206,9 @@ def sample_hit_and_run(H: ConstraintMatrix, start: Pmf, cfg: SamplerConfig) -> L
     stride = skip_t + 1
     rows = max(1, _BLOCK_UNIFORMS // stride)
     stream = np.empty(0)
-    max_reduce, min_reduce = np.maximum.reduce, np.minimum.reduce
+    chord_ends = np.maximum.reduceat
+    last_cell = n - 1
+    segments = np.zeros(2, dtype=np.intp)
 
     while kept < cfg.count:
         if len(stream) < stride:
@@ -195,19 +218,29 @@ def sample_hit_and_run(H: ConstraintMatrix, start: Pmf, cfg: SamplerConfig) -> L
         # a zero norm gives a NaN direction, which bounds no cell: a degenerate chord below
         with np.errstate(divide="ignore", invalid="ignore"):
             directions_k = z / np.sqrt([row.dot(row) for row in z])[:, None]
-        directions = np.empty((len(block), n))
-        for row, direction_k in zip(directions, directions_k):
-            np.matmul(N, direction_k, out=row)
-        lower, upper = directions > CHORD_EPS, directions < -CHORD_EPS
-        # the chord ends where point + t * direction reaches 0 in a cell: t = point / -direction
-        negated = -directions
+        # the chord tables of the module note: per step, [-direction, direction]
+        signed = np.empty((len(block), 2, n))
+        for row, direction_k in zip(signed[:, 1], directions_k):
+            N.dot(direction_k, out=row)
+        np.negative(signed[:, 1], out=signed[:, 0])
+        bounding = signed < -CHORD_EPS
+        flat = np.flatnonzero(bounding)
+        # n = 2^d, so the low bits of a flat index are its cell
+        cells = flat & last_cell
+        divisors = signed.take(flat)
+        # step i's lower cells are ends[2i]:ends[2i+1], its upper cells ends[2i+1]:ends[2i+2]
+        ends = [0] + np.count_nonzero(bounding, axis=2).cumsum().tolist()
         used = block.size
-        for i, (scale, lo, hi, direction_k, u) in enumerate(
-            zip(negated, lower, upper, directions_k, block[:, -1].tolist())
+        for i, (direction_k, lo, mid, hi, u) in enumerate(
+            zip(directions_k, ends[0::2], ends[1::2], ends[2::2], block[:, -1].tolist())
         ):
-            bounds = point / scale
-            t_lo = float(max_reduce(bounds, where=lo, initial=-math.inf))
-            t_hi = float(min_reduce(bounds, where=hi, initial=math.inf))
+            if lo == mid or mid == hi:
+                # a side with no cell leaves the chord unbounded
+                t_lo = t_hi = math.nan
+            else:
+                segments[1] = mid - lo
+                t_lo, t_hi = chord_ends(point.take(cells[lo:hi]) / divisors[lo:hi], segments).tolist()
+                t_hi = -t_hi
             if not (math.isfinite(t_lo) and math.isfinite(t_hi)) or t_hi < t_lo:
                 # degenerate chord: resample the direction; no t was drawn for this step
                 degenerate += 1
@@ -216,7 +249,7 @@ def sample_hit_and_run(H: ConstraintMatrix, start: Pmf, cfg: SamplerConfig) -> L
 
             t = t_lo + u * (t_hi - t_lo)
             c = c + t * direction_k
-            point = x0 + N @ c
+            point = x0 + N.dot(c)
             steps += 1
 
             if steps_until_keep > 0:

@@ -10,6 +10,7 @@ machinery, and the package's integer elimination is checked against them.
 from __future__ import annotations
 
 import json
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from bintab import MarginTargets, Pmf, build_H, targets_from_pmf
+from bintab import ConstraintMatrix, MarginTargets, Pmf, build_H, targets_from_pmf
 from bintab.datasets import builtin_pmf
 
 F = Fraction
@@ -168,6 +169,17 @@ def random_uniform_margin_pmf(rng, d) -> Pmf:
 def random_targets(rng, d, digits=2) -> MarginTargets:
     """Uniform-margin targets derived from a random strictly positive table."""
     return targets_from_pmf(random_rational_pmf(rng, d, positive=True), digits=digits)
+
+
+def generic_targets(d) -> MarginTargets:
+    """Uniform-margin digits-2 targets of a random positive d-way table, seeded by d."""
+    return random_targets(random.Random(d), d)
+
+
+def d5_margin_H():
+    """The five uniform margin rows of d=5 (2,712 vertices); the moment targets do not enter them."""
+    full = build_H(MarginTargets.uniform(5, {(i, j): F(1, 4) for i in range(1, 6) for j in range(i + 1, 6)}))
+    return ConstraintMatrix(d=5, rows=full.rows[:5], labels=full.labels[:5], targets=full.targets)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ from conftest import (
     EXAMPLE1_VERTEX_A,
     EXAMPLE1_VERTEX_B,
     brute_force_vertices,
+    d5_margin_H,
+    generic_targets,
     random_rational_pmf,
     random_targets,
     reference_affine_rank,
@@ -96,12 +98,6 @@ def reference_rays(H):
         if not rays:
             return (), label
     return tuple(sorted(rays, key=lambda r: [F(v, sum(r)) for v in r], reverse=True)), None
-
-
-def d5_margin_H():
-    """The five uniform margin rows of d=5; the moment targets do not enter them."""
-    full = build_H(MarginTargets.uniform(5, {(i, j): F(1, 4) for i in range(1, 6) for j in range(i + 1, 6)}))
-    return ConstraintMatrix(d=5, rows=full.rows[:5], labels=full.labels[:5], targets=full.targets)
 
 
 @pytest.fixture(scope="module")
@@ -525,11 +521,6 @@ def no_ray_pass(monkeypatch):
 
     # every ray pass goes through geometry: ipf holds no reference to it
     monkeypatch.setattr(geometry, "_extreme_rays", forbidden)
-
-
-def generic_targets(d):
-    """Uniform-margin digits-2 targets of a random positive d-way table."""
-    return random_targets(random.Random(d), d)
 
 
 #: mu12 = 1/2 forces X1 = X2: a single-vertex polytope with no full-support point

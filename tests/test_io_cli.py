@@ -26,8 +26,10 @@ from bintab.io import (
     pmf_to_document,
     targets_from_json_dict,
     targets_to_json_dict,
+    vertexset_to_json_dict,
 )
 from bintab.reproduce import reproduce_report
+from conftest import d5_margin_H
 
 F = Fraction
 
@@ -231,6 +233,44 @@ class TestDecimalRenderings:
     )
     def test_rounding(self, value, digits, text):
         assert _decimal_str(value, digits) == text
+
+
+def reference_decimal(value, digits):
+    """``value`` to ``digits`` > 0 decimals from Fraction arithmetic; a half-way value goes where float formatting sends it."""
+    scaled = value * 10**digits
+    if scaled - math.floor(scaled) == F(1, 2):
+        return f"{float(value):.{digits}f}"
+    q = round(scaled)
+    return f"{q // 10**digits}.{q % 10**digits:0{digits}d}"
+
+
+def reference_vertex_json(V, digits):
+    return {
+        "d": V.constraints.d,
+        "count": len(V.vertices),
+        "targets": targets_to_json_dict(V.constraints.targets, digits),
+        "vertices": [
+            {"cells": [str(c) for c in v.cells], "decimals": [reference_decimal(c, digits) for c in v.cells]}
+            for v in V.vertices
+        ],
+    }
+
+
+class TestVertexJson:
+    @pytest.mark.parametrize(
+        "system, digits",
+        [("water", 3), ("water", 6), ("pool", 3), ("pool", 10), ("d5_margin", 6)],
+    )
+    def test_bytes_match_a_fraction_formatter(self, request, system, digits):
+        if system == "water":
+            systems = [build_H(targets_from_pmf(request.getfixturevalue("water"), digits=digits))]
+        elif system == "pool":
+            systems = [build_H(targets_from_pmf(p, digits=3)) for p in request.getfixturevalue("pool_pmfs")[:8]]
+        else:
+            systems = [d5_margin_H()]
+        for H in systems:
+            V = enumerate_vertices(H)
+            assert json.dumps(vertexset_to_json_dict(V, digits)) == json.dumps(reference_vertex_json(V, digits))
 
 
 @pytest.fixture()

@@ -27,7 +27,7 @@ from bintab import (
     targets_from_pmf,
 )
 from bintab.table import FLOAT
-from conftest import reference_nullspace
+from conftest import d5_margin_H, generic_targets, reference_nullspace
 
 F = Fraction
 
@@ -156,6 +156,31 @@ class TestSamplerConfig:
     def test_large_seeds_are_accepted(self, seed):
         assert SamplerConfig(seed=seed, count=1).seed == seed
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("count", 2.5),
+            ("count", True),
+            ("count", 3.0),
+            ("count", "3"),
+            ("burn_in", 2.5),
+            ("burn_in", math.nan),
+            ("burn_in", False),
+            ("thinning", 1.5),
+            ("thinning", math.inf),
+            ("thinning", None),
+        ],
+    )
+    def test_schedule_must_be_ints(self, field, value):
+        schedule = {"count": 1, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be an integer >= {int(field == 'count')}"):
+            SamplerConfig(seed=1, **schedule)
+
+    def test_schedule_bounds(self):
+        assert SamplerConfig(seed=1, count=1, burn_in=0, thinning=0).count == 1
+        with pytest.raises(DomainError, match="count must be an integer >= 1, got 0"):
+            SamplerConfig(seed=1, count=0)
+
 
 # ---------------------------------------------------------------------------
 # per-step references: the samplers as first written, one draw or one walk
@@ -241,7 +266,18 @@ def reference_hit_and_run(H, start, cfg):
 
 
 def _system(request, name):
-    """(H, V, centroid start) of a named system."""
+    """(H, V, start) of a named system, the start being the vertex centroid.
+
+    A generic system has no V and starts at the relative-interior point, as
+    the CLI walk does; the d=5 margin polytope is for Dirichlet only.
+    """
+    if name.startswith("generic_d"):
+        H = build_H(generic_targets(int(name[-1])))
+        y, _ = H.relative_interior
+        return H, None, Pmf(d=H.d, cells=tuple(v / sum(y) for v in y), mode=FLOAT)
+    if name == "d5_margin":
+        H = d5_margin_H()
+        return H, enumerate_vertices(H), None
     if name == "degenerate_d3":
         # mu12 = 1/2 forces X1 = X2: a single vertex on the boundary of a
         # larger affine hull, so every chord is (numerically) a point
@@ -266,7 +302,7 @@ def _stride(H):
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("name", SYSTEMS)
+    @pytest.mark.parametrize("name", SYSTEMS + ["generic_d5", "generic_d6"])
     @pytest.mark.parametrize(
         "schedule",
         [dict(burn_in=500, thinning=10, count=20), dict(burn_in=0, thinning=0, count=25), dict(burn_in=3, thinning=0, count=1)],
@@ -305,7 +341,7 @@ class TestByteIdentity:
         (record,) = [r for r in caplog.records if r.name == "bintab.sampling"]
         assert record.args["degenerate_chords"] > 10
 
-    @pytest.mark.parametrize("name", SYSTEMS)
+    @pytest.mark.parametrize("name", SYSTEMS + ["d5_margin"])
     def test_dirichlet_matches_per_draw_reference(self, request, name):
         _, V, _ = _system(request, name)
         cfg = SamplerConfig(seed=44, count=30)
