@@ -298,6 +298,14 @@ class ConstraintMatrix:
     targets: MarginTargets
     primitive_rows: Optional[Tuple[Tuple[int, ...], ...]] = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        # every reader zips labels with rows, so a missing label would silently drop its row
+        if len(self.labels) != len(self.rows):
+            raise DimensionMismatchError(f"{len(self.labels)} labels for {len(self.rows)} rows")
+        for r, row in enumerate(self.rows):
+            if len(row) != self.n_cols:
+                raise DimensionMismatchError(f"row {r} has {len(row)} entries for {self.n_cols} cells")
+
     @property
     def n_rows(self) -> int:
         return len(self.rows)

@@ -40,16 +40,19 @@ integer matrix R of the current rays:
   count of each sign cuts them apart;
 * the popcount bound, a necessary condition on each split pair: the rank is
   at most the number of rows inserted so far, so ``|S| <= rows + 2``.  The
-  ray supports are kept as a (rays x ceil(2^d / 64)) ``uint64`` array of
-  bit masks; the masks of the positive and of the negative rays are
-  gathered once, and for blocks of positive rays against all negative rays
-  (about 1 MB of unions per word) the popcount is added up word by word.
-  The flat indices of the pairs within the bound, from ``flatnonzero``,
-  give the pairs in pos-major, neg-minor order through one ``divmod``;
-* the subset count over those pairs, in chunks of about 1 MB: a ray lies
-  inside a union when masking it by the union leaves it unchanged, one
-  AND and one compare per word, and a pair is adjacent when exactly 2
-  rays lie inside its union;
+  ray supports are kept as bit masks, one row per ray of the narrowest
+  unsigned word that holds 2^d bits: uint8 up to d=3, uint16 at d=4,
+  uint32 at d=5, and ``2^d / 64`` uint64 words from d=6.  The masks of the
+  positive and of the negative rays are gathered once, and for blocks of
+  positive rays against all negative rays (about 1 MB of unions of one
+  word each) the popcount is added up word by word, in uint8 below 256
+  cells and uint16 from 256.  The flat indices of the pairs within the
+  bound, from ``flatnonzero``, give the pairs in pos-major, neg-minor
+  order through one ``divmod``;
+* the subset count over those pairs, in chunks of about 1 MB of one word
+  per (pair, ray): a ray lies inside a union when masking it by the union
+  leaves it unchanged, one AND and one compare per word, and a pair is
+  adjacent when exactly 2 rays lie inside its union, counted in uint32;
 * one expression ``(h.r_a) r_b - (h.r_b) r_a`` builds every new ray, and
   the gcd of each row makes it primitive.  New rays follow the rays on the
   hyperplane in pos-major, neg-minor pair order.
@@ -226,22 +229,20 @@ class MixtureWeights:
 
 
 def _mask_words(R: np.ndarray) -> np.ndarray:
-    """Support masks of the rows of R as a (rays x ceil(n/64)) uint64 array; word w holds cells 64w..64w+63."""
-    n = R.shape[1]
-    nonzero = np.zeros((R.shape[0], 64 * -(-n // 64)), dtype=bool)
-    nonzero[:, :n] = R != 0
-    return np.packbits(nonzero, axis=1, bitorder="little").view(np.uint64)
+    """Support masks of the rows of R, bit c for cell c, in the narrowest unsigned word of n bits (uint64 past 64)."""
+    nbytes = -(-R.shape[1] // 8)
+    return np.packbits(R != 0, axis=1, bitorder="little").view(f"<u{min(nbytes, 8)}")
 
 
 def _adjacent_pairs(masks: np.ndarray, pos: np.ndarray, neg: np.ndarray, inserted: int):
     """The adjacent split pairs as index arrays (pos-major, neg-minor), and how many passed the popcount bound."""
-    n_words = masks.shape[1]
+    n_words, word_bytes = masks.shape[1], masks.itemsize
     # rank(A_S) <= inserted, so an adjacent pair has |S| <= inserted + 2
     max_support = inserted + 2
     masks_pos, masks_neg = masks[pos], masks[neg]
-    # a popcount is at most 64 * n_words, which uint8 holds below 4 words
-    count_dtype = np.uint8 if n_words < 4 else np.uint16
-    block = max(1, _SUBSET_BLOCK_BYTES // (8 * len(neg)))
+    # a popcount is at most the cell count (8 bits at d <= 3), which uint8 holds below 256
+    count_dtype = np.uint8 if 8 * word_bytes * n_words < 256 else np.uint16
+    block = max(1, _SUBSET_BLOCK_BYTES // (word_bytes * len(neg)))
     flat = []
     for start in range(0, len(pos), block):
         part = masks_pos[start : start + block]
@@ -251,7 +252,7 @@ def _adjacent_pairs(masks: np.ndarray, pos: np.ndarray, neg: np.ndarray, inserte
             support += np.bitwise_count(part[:, None, w] | masks_neg[None, :, w])
         flat.append(np.flatnonzero(support <= max_support) + start * len(neg))
     a, b = divmod(np.concatenate(flat), len(neg))
-    chunk = max(1, _SUBSET_BLOCK_BYTES // (8 * len(masks)))
+    chunk = max(1, _SUBSET_BLOCK_BYTES // (word_bytes * len(masks)))
     adjacent = np.empty(len(a), dtype=bool)
     for start in range(0, len(a), chunk):
         stop = start + chunk
@@ -259,8 +260,9 @@ def _adjacent_pairs(masks: np.ndarray, pos: np.ndarray, neg: np.ndarray, inserte
         inside = (masks[:, 0] & unions[:, 0, None]) == masks[:, 0]
         for w in range(1, n_words):
             inside &= (masks[:, w] & unions[:, w, None]) == masks[:, w]
-        # the pair itself always lies inside its union; a third ray there rules it out
-        adjacent[start:stop] = inside.sum(axis=1) == 2
+        # the pair itself always lies inside its union; a third ray there rules it out.
+        # A cone can hold more rays than uint16 counts (104,880 at d=5), so the count is uint32
+        adjacent[start:stop] = inside.view(np.uint8).sum(axis=1, dtype=np.uint32) == 2
     return pos[a[adjacent]], neg[b[adjacent]], len(a)
 
 

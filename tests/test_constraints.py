@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bintab import (
     ConstraintMatrix,
+    DimensionMismatchError,
     DomainError,
     InfeasibleTargetsError,
     MarginTargets,
@@ -389,6 +390,22 @@ class TestBuildH:
         reflected = [tuple(reversed(row)) for row in example1_H3.rows]
         base_rank = reference_rank(example1_H3.rows)
         assert reference_rank(list(example1_H3.rows) + reflected) == base_rank
+
+
+class TestHandBuiltShape:
+    def test_label_count_must_match_row_count(self, water):
+        # one label short used to drop the last row from the ray pass (128 vertices, not 96)
+        H = build_H(targets_from_pmf(water, digits=3))
+        for labels in (H.labels[:-1], H.labels + (("moment", 1, 2),)):
+            with pytest.raises(DimensionMismatchError, match=f"{len(labels)} labels for 10 rows"):
+                ConstraintMatrix(d=H.d, rows=H.rows, labels=labels, targets=H.targets)
+
+    def test_every_row_must_have_one_entry_per_cell(self, example1_H3):
+        H = example1_H3
+        for row in (H.rows[1][:-1], H.rows[1] + (F(0),)):
+            rows = (H.rows[0], row) + H.rows[2:]
+            with pytest.raises(DimensionMismatchError, match=f"row 1 has {len(row)} entries for 8 cells"):
+                ConstraintMatrix(d=H.d, rows=rows, labels=H.labels, targets=H.targets)
 
 
 class TestIntRows:

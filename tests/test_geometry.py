@@ -240,6 +240,86 @@ class TestExtremeRays:
             assert {v.cells for v in enumerate_vertices(permuted).vertices} == base
 
 
+def support_int(row):
+    """The support of ``row`` as a Python int: bit c is set when cell c is nonzero."""
+    return sum(1 << c for c, v in enumerate(row) if v)
+
+
+def reference_adjacent_pairs(supports, pos, neg, inserted):
+    """The pos-major, neg-minor scan of ``_adjacent_pairs`` on Python-int supports.
+
+    Returns the pairs with exactly two supports inside their union, and how
+    many pairs have a union of at most ``inserted + 2`` cells.
+    """
+    pairs, within = [], 0
+    for i in pos:
+        for j in neg:
+            union = supports[i] | supports[j]
+            if bin(union).count("1") > inserted + 2:
+                continue
+            within += 1
+            if sum(s & ~union == 0 for s in supports) == 2:
+                pairs.append((i, j))
+    return pairs, within
+
+
+def random_supports(rng, n, count):
+    """``count`` nonzero rows of n cells: up to 12 unit vectors, then rows at a sparse, a medium and a dense fill."""
+    R = np.zeros((count, n), dtype=np.int64)
+    for r in range(count):
+        fill = (0.05, 0.5, 0.97)[r % 3]
+        R[r] = [rng.randint(1, 9) if rng.random() < fill else 0 for _ in range(n)]
+        R[r, rng.randrange(n)] = rng.randint(1, 9)
+    units = rng.sample(range(n), min(n, 12))
+    R[: len(units)] = np.eye(n, dtype=np.int64)[units]
+    return R
+
+
+class TestMaskKernel:
+    WIDTHS = {2: np.uint8, 3: np.uint8, 4: np.uint16, 5: np.uint32, 6: np.uint64, 7: np.uint64, 8: np.uint64}
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_mask_words_are_the_narrowest_word(self, d):
+        n = 2**d
+        rng = random.Random(d)
+        R = random_supports(rng, n, 24)
+        for rays in (R, R.astype(object), R[:0]):
+            masks = geometry._mask_words(rays)
+            assert masks.dtype == self.WIDTHS[d]
+            assert masks.shape == (len(rays), max(1, n // 64))
+            bits = 8 * masks.itemsize
+            assert [sum(int(w) << (bits * k) for k, w in enumerate(row)) for row in masks.tolist()] == [
+                support_int(row) for row in rays.tolist()
+            ]
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256])
+    def test_adjacent_pairs_match_python_int_scan(self, monkeypatch, n):
+        rng = random.Random(n)
+        R = random_supports(rng, n, min(45, 2 * n))
+        supports = [support_int(row) for row in R.tolist()]
+        order = rng.sample(range(len(R)), len(R))
+        split = 4 * len(R) // 9
+        pos, neg = np.array(order[:split]), np.array(order[split : 2 * split])
+        masks = geometry._mask_words(R)
+        # up to every pair within the bound; at n=256 unions of 256 cells pass at
+        # inserted 254 and fail at 250, where a uint8 popcount would wrap to 0 and pass
+        adjacent = []
+        for inserted in sorted({0, 3, n // 4, n // 2, n - 6, n - 2}):
+            pairs, within = reference_adjacent_pairs(supports, pos.tolist(), neg.tolist(), inserted)
+            expected = ([i for i, _ in pairs], [j for _, j in pairs], within)
+            a, b, count = geometry._adjacent_pairs(masks, pos, neg, inserted)
+            assert (a.tolist(), b.tolist(), count) == expected
+            # blocks of 2 positive rays and chunks of one pair return the same pairs in order
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "_SUBSET_BLOCK_BYTES", 2 * masks.itemsize * len(neg))
+                a, b, count = geometry._adjacent_pairs(masks, pos, neg, inserted)
+            assert (a.tolist(), b.tolist(), count) == expected
+            adjacent.append(len(pairs))
+        assert within == len(pos) * len(neg)
+        # every bound but the tightest keeps an adjacent pair, so the subset count decides some pairs
+        assert min(adjacent[1:]) > 0
+
+
 def prefix_H(H, k):
     """The first ``k`` rows of H as a hand-built system."""
     return ConstraintMatrix(d=H.d, rows=H.rows[:k], labels=H.labels[:k], targets=H.targets)
