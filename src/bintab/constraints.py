@@ -287,16 +287,19 @@ class ConstraintMatrix:
 
     Rows are exact rationals: d margin rows followed by the d(d-1)/2 moment
     rows in pair-lexicographic order.  ``labels[r]`` names row ``r``.
-    ``primitive_rows``, when given, holds each row scaled to its primitive
-    integer multiple, as :func:`build_H` emits them; otherwise ``int_rows``
-    scales ``rows`` itself.
+    ``primitive_rows`` holds each row scaled to its primitive integer
+    multiple, in the closed form :func:`build_H` emits; only ``build_H``
+    sets it, so it always belongs to ``rows``.  On any other H it is
+    ``None`` and ``int_rows`` scales ``rows`` itself.
     """
 
     d: int
     rows: Tuple[Tuple[Fraction, ...], ...]
     labels: Tuple[RowLabel, ...]
     targets: MarginTargets
-    primitive_rows: Optional[Tuple[Tuple[int, ...], ...]] = field(default=None, repr=False, compare=False)
+    primitive_rows: Optional[Tuple[Tuple[int, ...], ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         # every reader zips labels with rows, so a missing label would silently drop its row
@@ -390,9 +393,9 @@ def build_H(targets: MarginTargets) -> ConstraintMatrix:
     for (i, j) in all_pairs(d):
         mu = targets.moments[(i, j)]
         emit(("moment", i, j), _all_ones(d, i, j), mu, mu - 1, mu)
-    return ConstraintMatrix(
-        d=d, rows=tuple(rows), labels=tuple(labels), targets=targets, primitive_rows=tuple(primitive)
-    )
+    H = ConstraintMatrix(d=d, rows=tuple(rows), labels=tuple(labels), targets=targets)
+    object.__setattr__(H, "primitive_rows", tuple(primitive))
+    return H
 
 
 def residual(H: ConstraintMatrix, p: Pmf) -> tuple:

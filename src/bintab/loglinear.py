@@ -82,6 +82,20 @@ class LogLinearParams:
         if self.coefficients.keys() != _layout(self.d).keys:
             raise DomainError(f"coefficients must be keyed by the sorted axis subsets of 1..{self.d}")
 
+    @classmethod
+    def _valid(cls, d: int, parametrization: str, eps: float, coefficients: Dict[Subset, float]) -> "LogLinearParams":
+        """Params built without ``__post_init__``; for coefficients already proved valid.
+
+        The caller guarantees what the validation would check: a known
+        ``parametrization`` and coefficients keyed by exactly the subsets
+        of ``_layout(d).subsets``.  Its two callers, :func:`zero_mean_params`
+        and :func:`corner_params`, key their coefficients by that tuple,
+        after :func:`_signed_logs` has checked ``eps``.
+        """
+        params = object.__new__(cls)
+        params.__dict__.update(d=d, parametrization=parametrization, eps=eps, coefficients=coefficients)
+        return params
+
     def coefficient(self, *axes: int) -> float:
         """The coefficient of the subset of distinct axes ``axes`` (none for the intercept)."""
         try:
@@ -177,7 +191,7 @@ def zero_mean_params(p: Pmf, eps: float = DEFAULT_EPS) -> LogLinearParams:
         subset: math.fsum(read(signed)) / n
         for subset, read in zip(layout.subsets, layout.read_characters)
     }
-    return LogLinearParams(d=p.d, parametrization=ZERO_MEAN, eps=eps, coefficients=coeffs)
+    return LogLinearParams._valid(p.d, ZERO_MEAN, eps, coeffs)
 
 
 def corner_params(p: Pmf, eps: float = DEFAULT_EPS) -> LogLinearParams:
@@ -190,7 +204,7 @@ def corner_params(p: Pmf, eps: float = DEFAULT_EPS) -> LogLinearParams:
         for i in terms:
             total += signed[i]
         coeffs[subset] = total
-    return LogLinearParams(d=p.d, parametrization=CORNER, eps=eps, coefficients=coeffs)
+    return LogLinearParams._valid(p.d, CORNER, eps, coeffs)
 
 
 def reconstruct(params: LogLinearParams) -> Pmf:

@@ -36,16 +36,18 @@ consuming the stream one step at a time:
   the block rows after it no longer line up with the stream: the rest of
   the block is derived again from the new stream position.
 
-Every product with a matrix stays one matrix-vector product per draw or
-step (the mixture ``theta . M``, the direction ``N . z`` and the point
-``x0 + N . c``): a batched matrix-matrix product sums in another order and
-changes the last bits.  Each is one ``ndarray.dot`` call.  ``dot`` and
-``matmul`` both hand a matrix-vector product to the same BLAS ``dgemv``, so
-their bits agree, but ``dot`` skips the ufunc dispatch of ``matmul``: about
-1.1 against 1.7 us on a 16 x 5 chart.  A Python sum of the products rounds
-differently, so the BLAS call stays.  The norm of each direction is
-likewise its own ``z . z``, the sum ``np.linalg.norm`` takes; an axis
-reduction does not reproduce it.
+Every product with a matrix keeps the bits of one matrix-vector product
+per draw or step (the mixture ``theta . M``, the direction ``N . z`` and
+the point ``x0 + N . c``).  Within a block the draws and directions do not
+depend on each other, so each block makes one stacked call:
+``np.matmul`` over a stack of vectors calls the same BLAS ``dgemv`` once per
+stack item, and ``np.vecdot`` the same ``ddot`` that ``z . z`` calls for the
+norm of each direction (the sum ``np.linalg.norm`` takes), so the bits are
+those of the per-row calls (``tests/test_sampling.py`` pins this).  Only a
+2-D matrix-matrix product, one ``dgemm`` such as ``Z @ N.T``, sums in
+another order and changes the last bits; so does an axis reduction for the
+norms.  The point ``x0 + N . c`` stays one ``ndarray.dot`` per step, since
+each step starts where the one before it ended.
 
 The chord of a step is the interval of t where ``point + t * direction``
 stays >= 0 in every cell whose direction component is past ``CHORD_EPS``
@@ -166,8 +168,7 @@ def sample_dirichlet(V: VertexSet, cfg: SamplerConfig) -> List[Pmf]:
         thetas = np.divide(
             exponentials, totals, out=np.full_like(exponentials, 1.0 / n_d), where=totals > 0
         )
-        for theta, row in zip(thetas, block):
-            theta.dot(M, out=row)
+        np.matmul(thetas[:, None, :], M, out=block[:, None, :])
     _log("dirichlet", cfg.count, cfg.count, 0)
     return _float_pmfs(V.constraints.d, cells)
 
@@ -217,11 +218,10 @@ def sample_hit_and_run(H: ConstraintMatrix, start: Pmf, cfg: SamplerConfig) -> L
         z = _standard_normals(block, k)
         # a zero norm gives a NaN direction, which bounds no cell: a degenerate chord below
         with np.errstate(divide="ignore", invalid="ignore"):
-            directions_k = z / np.sqrt([row.dot(row) for row in z])[:, None]
+            directions_k = z / np.sqrt(np.vecdot(z, z))[:, None]
         # the chord tables of the module note: per step, [-direction, direction]
         signed = np.empty((len(block), 2, n))
-        for row, direction_k in zip(signed[:, 1], directions_k):
-            N.dot(direction_k, out=row)
+        np.matmul(N, directions_k[:, :, None], out=signed[:, 1, :, None])
         np.negative(signed[:, 1], out=signed[:, 0])
         bounding = signed < -CHORD_EPS
         flat = np.flatnonzero(bounding)

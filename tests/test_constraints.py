@@ -444,6 +444,16 @@ class TestIntRows:
         # both sides of the int64 bound are covered
         assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
+    def test_primitive_rows_come_only_from_build_H(self, water):
+        # rows of another system would compare equal (compare=False) and enumerate wrong vertices
+        H = build_H(targets_from_pmf(water, digits=3))
+        other = build_H(targets_from_pmf(water, digits=2))
+        assert H.primitive_rows == tuple(map(tuple, _integer_rows(H.rows)))
+        with pytest.raises(TypeError, match="primitive_rows"):
+            ConstraintMatrix(
+                d=H.d, rows=H.rows, labels=H.labels, targets=H.targets, primitive_rows=other.primitive_rows
+            )
+
     def test_built_once_and_read_only(self, example1_H3):
         H = build_H(example1_H3.targets)
         assert "int_rows" not in H.__dict__

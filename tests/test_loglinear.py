@@ -186,6 +186,17 @@ class TestDomain:
         with pytest.raises(DomainError, match="sorted axis subsets"):
             LogLinearParams(d=2, parametrization="corner", eps=0.0, coefficients=dict.fromkeys(keys, 0.0))
 
+    @pytest.mark.parametrize("view", [zero_mean_params, corner_params])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_views_build_what_the_constructor_accepts(self, view, d):
+        # the views skip the constructor's checks; what they build must pass them
+        params = view(Pmf.uniform(d), eps=1e-3)
+        rebuilt = LogLinearParams(
+            d=params.d, parametrization=params.parametrization, eps=params.eps, coefficients=params.coefficients
+        )
+        assert params == rebuilt
+        assert list(params.coefficients) == _reference_subsets(d)
+
 
 # ---------------------------------------------------------------------------
 # per-subset references: the log-linear views as first written, one

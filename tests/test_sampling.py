@@ -354,6 +354,41 @@ class TestByteIdentity:
         assert [p.cells for p in sample_dirichlet(V, cfg)] == [p.cells for p in reference_dirichlet(V, cfg)]
 
 
+class TestStackedCalls:
+    """The stacked numpy calls of the samplers give the bits of their per-row calls.
+
+    ``matmul`` and ``vecdot`` over a stack make the BLAS call of ``dot`` once
+    per stack item; a 2-D matrix-matrix product would not (see the module note).
+    """
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    @pytest.mark.parametrize("k", [1, 5, 11, 16, 42, 219])
+    def test_norms_and_directions(self, k):
+        rng = np.random.default_rng(k)
+        n = max(16, 1 << (k.bit_length() + 1))
+        # an orthonormal chart from the QR factorization, as kernel_chart makes it
+        N, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        z = rng.standard_normal((40, k))
+        norms = np.vecdot(z, z)
+        assert np.array_equal(self._bits(norms), self._bits(np.array([row.dot(row) for row in z])))
+        directions = z / np.sqrt(norms)[:, None]
+        signed = np.empty((len(z), 2, n))
+        np.matmul(N, directions[:, :, None], out=signed[:, 1, :, None])
+        assert np.array_equal(self._bits(signed[:, 1]), self._bits(np.array([N.dot(u) for u in directions])))
+
+    @pytest.mark.parametrize("vertices", [1, 35, 96, 2712])
+    def test_mixtures(self, vertices):
+        rng = np.random.default_rng(vertices)
+        M = rng.random((vertices, 32))
+        thetas = rng.dirichlet(np.ones(vertices), size=12)
+        block = np.empty((len(thetas), 32))
+        np.matmul(thetas[:, None, :], M, out=block[:, None, :])
+        assert np.array_equal(self._bits(block), self._bits(np.array([theta.dot(M) for theta in thetas])))
+
+
 class TestPreparedSystem:
     def test_repeated_walks_on_one_H_match_the_reference(self, request):
         # the second walk reads the chart the first one built
