@@ -8,7 +8,12 @@ downstream needs rational data, and reproducing published 3-digit examples
 needs ``digits=3``.  One solver, :func:`moment_for_margins`, serves both
 margin modes (uniform margins are margins 1/2); it rounds each root half up
 exactly, in integer arithmetic, so a target is the correctly rounded root
-however close the root lies to a tie.
+however close the root lies to a tie.  Its integer core, :func:`_moment`,
+takes the odds ratio and the two margins as integer pairs, not necessarily
+in lowest terms: :func:`targets_from_pmf` passes the count products
+n11*n00 and n10*n01 and the margins (1, 2) or (ones_i, L), and builds no
+``Fraction`` for them.  :meth:`MarginTargets.frechet_violation` checks the
+Frechet bounds by cross-multiplying numerators and denominators.
 
 The homogeneous constraint matrix H couples a cell vector p to the targets:
 
@@ -63,7 +68,7 @@ from .errors import (
     InfeasibleTargetsError,
     UnsupportedTargetError,
 )
-from .table import FLOAT, RATIONAL, Pmf, Scalar, _bit, _classified_ratio, all_pairs
+from .table import FLOAT, RATIONAL, Pmf, Scalar, _bit, all_pairs
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,6 +103,11 @@ def moment_from_odds_ratio(omega, digits: int = DEFAULT_DIGITS) -> Fraction:
     return moment_for_margins(omega, Fraction(1, 2), Fraction(1, 2), digits)
 
 
+def _check_digits(digits: int) -> None:
+    if not 0 <= digits <= MAX_DIGITS:
+        raise DomainError(f"digits must be in 0..{MAX_DIGITS}, got {digits}")
+
+
 def moment_for_margins(omega, mi1, mj1, digits: int = DEFAULT_DIGITS) -> Fraction:
     """Second-order moment matching ``omega`` under prescribed margins.
 
@@ -114,8 +124,7 @@ def moment_for_margins(omega, mi1, mj1, digits: int = DEFAULT_DIGITS) -> Fractio
     value past a bound becomes that bound, so the targets of any table with
     these margins stay admissible.  ``digits`` must lie in 0..``MAX_DIGITS``.
     """
-    if not 0 <= digits <= MAX_DIGITS:
-        raise DomainError(f"digits must be in 0..{MAX_DIGITS}, got {digits}")
+    _check_digits(digits)
     if isinstance(omega, float) and (math.isnan(omega) or math.isinf(omega)):
         raise DomainError(f"odds ratio must be finite and positive, got {omega}")
     omega, a, b = Fraction(omega), Fraction(mi1), Fraction(mj1)
@@ -126,6 +135,19 @@ def moment_for_margins(omega, mi1, mj1, digits: int = DEFAULT_DIGITS) -> Fractio
         raise DomainError(f"odds ratio must be finite and positive, got {omega}")
     if not (0 < a1 < a0 and 0 < b1 < b0):
         raise DomainError("margins must lie strictly between 0 and 1")
+    return _moment(p, q, a1, a0, b1, b0, digits)
+
+
+def _moment(p: int, q: int, a1: int, a0: int, b1: int, b0: int, digits: int) -> Fraction:
+    """The rounded root of :func:`moment_for_margins` for omega = p/q, a = a1/a0 and b = b1/b0.
+
+    All six are positive integers, with a1 < a0 and b1 < b0, not
+    necessarily in lowest terms: every quantity below is homogeneous in
+    each of the pairs (p, q), (a1, a0) and (b1, b0), so scaling a pair
+    scales it by a positive factor and leaves every sign the loops test
+    unchanged.  The ``isqrt`` estimate may move with the scale; the loops
+    settle the one k whatever it starts from.
+    """
     # over the common denominator den: a + b = s/den, lo = lo_n/den, hi = hi_n/den
     den = a0 * b0
     s = a1 * b0 + b1 * a0
@@ -167,6 +189,10 @@ def moment_for_margins(omega, mi1, mj1, digits: int = DEFAULT_DIGITS) -> Fractio
     return Fraction(k, scale)
 
 
+def _fraction(value) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 @dataclass(frozen=True)
 class MarginTargets:
     """Prescribed univariate margins and second-order moments.
@@ -184,13 +210,13 @@ class MarginTargets:
     def __post_init__(self):
         if self.d < 2:
             raise DomainError(f"dimension must be >= 2, got {self.d}")
-        uni = tuple(Fraction(m) for m in self.univariate)
+        uni = tuple(map(_fraction, self.univariate))
         if len(uni) != self.d:
             raise DimensionMismatchError(f"expected {self.d} univariate targets, got {len(uni)}")
-        if any(not (0 < m < 1) for m in uni):
+        if any(not (0 < m.numerator < m.denominator) for m in uni):
             raise DomainError("univariate targets must lie strictly between 0 and 1")
         pairs = all_pairs(self.d)
-        moments = {pair: Fraction(self.moments[pair]) for pair in pairs if pair in self.moments}
+        moments = {pair: _fraction(self.moments[pair]) for pair in pairs if pair in self.moments}
         missing = [pair for pair in pairs if pair not in moments]
         if missing:
             raise DomainError(f"missing moment targets for pairs {missing}")
@@ -204,9 +230,14 @@ class MarginTargets:
             )
 
     def frechet_violation(self) -> Optional[Pair]:
+        """The first pair, in moment order, whose target lies outside its Frechet bounds; None when none does."""
+        # max(0, mi + mj - 1) <= mu <= min(mi, mj) with mi = a/b, mj = c/e and
+        # mu = n/m, each bound cross-multiplied by the positive denominators
         for (i, j), mu in self.moments.items():
             mi, mj = self.univariate[i - 1], self.univariate[j - 1]
-            if not (max(Fraction(0), mi + mj - 1) <= mu <= min(mi, mj)):
+            a, b, c, e = mi.numerator, mi.denominator, mj.numerator, mj.denominator
+            n, m = mu.numerator, mu.denominator
+            if n < 0 or n * b > a * m or n * e > c * m or n * b * e < (a * e + c * b - b * e) * m:
                 return (i, j)
         return None
 
@@ -249,31 +280,36 @@ def targets_from_pmf(p: Pmf, digits: int = DEFAULT_DIGITS, margins: str = UNIFOR
     counts = [c.numerator * (L // c.denominator) for c in q.cells]
     ones = [sum(compress(counts, _all_ones(q.d, i))) for i in range(1, q.d + 1)]
 
-    omegas = {}
+    # the odds ratio of a pair is odds / cross, as integers >= 0
+    terms = {}
     for (i, j) in all_pairs(q.d):
         n11 = sum(compress(counts, _all_ones(q.d, i, j)))
         n10, n01 = ones[i - 1] - n11, ones[j - 1] - n11
         n00 = L - n11 - n10 - n01
-        omega = _classified_ratio(Fraction(n11 * n00), Fraction(n10 * n01))
-        if isinstance(omega, float) and (math.isinf(omega) or math.isnan(omega)):
-            kind = "infinite" if math.isinf(omega) else "undefined"
+        odds, cross = n11 * n00, n10 * n01
+        if not cross:
+            kind = "infinite" if odds else "undefined"
             raise UnsupportedTargetError(
                 f"marginal odds ratio of pair ({i},{j}) is {kind}; targets are not defined"
             )
-        if omega <= 0:
+        if not odds:
             raise UnsupportedTargetError(
-                f"marginal odds ratio of pair ({i},{j}) is {omega}; targets require a positive ratio"
+                f"marginal odds ratio of pair ({i},{j}) is 0; targets require a positive ratio"
             )
-        omegas[(i, j)] = omega
+        terms[(i, j)] = (odds, cross)
+    _check_digits(digits)
     # a finite positive odds ratio needs all four cells of its 2x2 margin > 0,
-    # so the observed margins lie strictly between 0 and 1
+    # so the observed margins lie strictly between 0 and 1; each margin is the
+    # pair (numerator, denominator) that _moment takes, not in lowest terms
     if margins == UNIFORM:
         uni = (Fraction(1, 2),) * q.d
+        margin = [(1, 2)] * q.d
     else:
         uni = tuple(Fraction(n1, L) for n1 in ones)
+        margin = [(n1, L) for n1 in ones]
     moments = {
-        (i, j): moment_for_margins(omega, uni[i - 1], uni[j - 1], digits)
-        for (i, j), omega in omegas.items()
+        (i, j): _moment(odds, cross, *margin[i - 1], *margin[j - 1], digits)
+        for (i, j), (odds, cross) in terms.items()
     }
     return MarginTargets(d=q.d, univariate=uni, moments=moments)
 

@@ -55,14 +55,17 @@ integer matrix R of the current rays:
   adjacent when exactly 2 rays lie inside its union, counted in uint32;
 * one expression ``(h.r_a) r_b - (h.r_b) r_a`` builds every new ray, and
   the gcd of each row makes it primitive.  New rays follow the rays on the
-  hyperplane in pos-major, neg-minor pair order.
+  hyperplane in pos-major, neg-minor pair order.  Both terms are
+  nonnegative and the gcd is positive, so the support of a new ray is the
+  union of its pair's supports: its mask is ``masks[a] | masks[b]``, and
+  :func:`_mask_words` reads masks off ray entries only on the orthant.
 
 R is int64 only while a bound computed from the data proves that no
 intermediate overflows (``_linalg._exact``): ``n * max|h| * max|R| < 2^62``
 before the values, ``2 * max|h.r| * max|R| < 2^62`` before the
-combination, with one ``max|R|`` per row.  Otherwise the same operations
-run on Python ints (``dtype=object``), so results stay exact for any
-target precision.
+combination, with one ``max|R|`` per row, which is ``R.max()`` as rays are
+nonnegative.  Otherwise the same operations run on Python ints
+(``dtype=object``), so results stay exact for any target precision.
 
 Each inserted row emits one debug record on the ``bintab.geometry`` logger
 with its counts: rays in and out, candidate pairs, and pairs left after
@@ -108,18 +111,21 @@ once; a failure, such as an empty polytope, is not cached.
 :func:`enumerate_vertices` is the one entry point.  Its :class:`VertexSet`
 holds the exact integer keys ``ray * (L // sum(ray))``, with L the lcm of
 the ray sums: row j is vertex j scaled by L, with entries at most L, so
-int64 below the bound and Python ints otherwise.  One whole-matrix check,
-every entry >= 0 and every row sum > 0, proves every row over L a valid
-rational pmf.  Candidate pairs are scanned in a fixed order and the rows
-are sorted in descending lexicographic order, which also pairs reflected
-vertices stably.  Every reader uses the keys; the vertex pmfs (one
+int64 below the bound and Python ints otherwise, with the scales
+``L // sums`` formed as one array division under the same rule.  One
+whole-matrix check, every entry >= 0 and every row sum > 0, proves every
+row over L a valid rational pmf.  Candidate pairs are scanned in a fixed
+order and the rows are sorted in descending lexicographic order, which
+also pairs reflected vertices stably.  Every reader uses the keys; the vertex pmfs (one
 ``Fraction(k, L)`` per distinct entry k, without per-pmf validation) and
 the float matrix (each entry the correctly rounded ``k / L``) are built
 from them once, on first access.
 
 :func:`decompose` proposes a support with a numpy Lawson-Hanson
 nonnegative least-squares solver (:func:`_nnls`) and certifies it exactly
-over the integer keys.
+over the integer keys.  The solver works on the passive columns alone and
+never forms the n x n Gram matrix of the n vertices, so its memory is
+O(m n) for the m = 2^d + 1 rows.
 """
 
 from __future__ import annotations
@@ -277,7 +283,8 @@ def _insert_equality(
     ``R`` holds one ray per row, ``h`` is one row of ``int_rows`` and
     ``inserted`` is the number of rows inserted before ``h``.
     """
-    r_max = _max_abs(R)
+    # rays are nonnegative, and the cone holds at least one
+    r_max = int(R.max())
     R, h = _exact(len(h) * _max_abs(h) * r_max, R, h)
     vals = R @ h
     # rays by sign, each group in index order: negative, zero, positive
@@ -299,7 +306,8 @@ def _insert_equality(
     # vals[a] > 0 > vals[b]: a positive combination of r_a and r_b on the hyperplane
     new = vals[a, None] * R[b] - vals[b, None] * R[a]
     new //= np.gcd.reduce(new, axis=1)[:, None]
-    return np.concatenate([R[zero], new]), np.concatenate([masks[zero], _mask_words(new)]), counts
+    # both rays are nonnegative, so the support of the new ray is the union of theirs
+    return np.concatenate([R[zero], new]), np.concatenate([masks[zero], masks[a] | masks[b]]), counts
 
 
 def _log_row(counts: dict) -> None:
@@ -376,10 +384,9 @@ def enumerate_vertices(H: ConstraintMatrix) -> VertexSet:
     # every entry >= 0 and every sum > 0: each row over its sum is a valid rational pmf
     if not ((R >= 0).all() and (sums > 0).all()):
         raise AssertionError("extreme ray with a negative entry or nonpositive sum; enumeration invariant broken")
-    sums = sums.tolist()
-    L = math.lcm(*sums)
-    R, scale = _exact(L, R, np.array([L // s for s in sums], dtype=object))
-    keys = R * scale[:, None]  # the vertices times L
+    L = math.lcm(*sums.tolist())
+    R, sums = _exact(L, R, sums)
+    keys = R * (L // sums)[:, None]  # the vertices times L
     # descending lexicographic order; the keys are distinct
     keys = keys[np.lexsort(keys.T[::-1])[::-1]]
     return VertexSet(keys=keys, scale=L, constraints=H, empty_certificate=certificate)
@@ -486,28 +493,30 @@ def _nnls(A: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None) -> np.nd
     gradient ``w = A^T (b - A x)``; the inner loop steps back along the
     segment towards the passive-set solution while that has a nonpositive
     entry, dropping the entries it zeroes.  Each passive-set subproblem is
-    solved on the Gram matrix ``A^T A`` and falls back to ``lstsq`` on the
-    passive columns when its block is singular.  Every solve counts against
-    ``max_iter`` (default ``3 n``); at the cap the current iterate is
-    returned, so the solver always returns a nonnegative ``x``.
+    solved on the Gram matrix of the passive columns alone, ``A_P^T A_P``,
+    and falls back to ``lstsq`` on those columns when it is singular; the
+    full n x n Gram matrix is never formed, so memory stays O(m n) (at
+    21,633 vertices that Gram matrix alone would take 3.5 GiB).  Every solve
+    counts against ``max_iter`` (default ``3 n``); at the cap the current
+    iterate is returned, so the solver always returns a nonnegative ``x``.
     """
     m, n = A.shape
-    gram = A.T @ A
-    Atb = A.T @ b
-    tol = 10 * max(m, n) * np.finfo(float).eps * max(1.0, float(gram.diagonal().max(initial=0)))
+    # the largest squared column norm is the largest diagonal entry of A^T A
+    tol = 10 * max(m, n) * np.finfo(float).eps * max(1.0, float(np.einsum("ij,ij->j", A, A).max(initial=0)))
     budget = 3 * n if max_iter is None else max_iter
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    w = Atb
+    w = A.T @ b
 
     def solve(target: np.ndarray) -> np.ndarray:
         """Least-squares solution of ``A[:, passive] s = target``, zero off the passive set."""
         s = np.zeros(n)
         idx = np.flatnonzero(passive)
+        A_P = A[:, idx]
         try:
-            s[idx] = np.linalg.solve(gram[idx[:, None], idx], target @ A[:, idx])
+            s[idx] = np.linalg.solve(A_P.T @ A_P, target @ A_P)
         except np.linalg.LinAlgError:
-            s[idx] = np.linalg.lstsq(A[:, idx], target, rcond=None)[0]
+            s[idx] = np.linalg.lstsq(A_P, target, rcond=None)[0]
         return s
 
     while budget > 0:
@@ -529,7 +538,7 @@ def _nnls(A: np.ndarray, b: np.ndarray, max_iter: Optional[int] = None) -> np.nd
             s = solve(b)
             budget -= 1
         x = s
-        w = Atb - gram @ x
+        w = A.T @ (b - A @ x)
     # one correction from the residual of A itself (the corrected seminormal
     # equations) brings the Gram solution to the accuracy of a QR solve
     refined = x + solve(b - A @ x)

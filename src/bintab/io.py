@@ -322,7 +322,56 @@ def load_vertices(path: str) -> VertexSet:
     return vertexset_from_json(read_input(path, "vertex"))
 
 
+def _cell_index(cell, index: dict, values: list) -> int:
+    """The position in ``values`` of the value of a vertex cell; a cell string is parsed once, and kept in ``index``."""
+    if type(cell) is not str:
+        # a JSON number, or a non-number whose error parse_rational raises
+        values.append(parse_rational(cell))
+        return len(values) - 1
+    k = index.get(cell)
+    if k is None:
+        values.append(parse_rational(cell))
+        k = index[cell] = len(values) - 1
+    return k
+
+
+def _vertex_keys(d: int, rows: list, values: list):
+    """The vertex keys over L, the lcm of the value denominators, and L.
+
+    ``rows`` hold positions in ``values``.  The rows are checked against
+    :func:`bintab.geometry.enumerate_vertices`' invariant: 2^d cells, each
+    key >= 0 and each row summing to L, which holds exactly when the row
+    over L is a rational pmf.  The first row that fails is built as a
+    :class:`Pmf`, whose error ``vertex i: ...`` is raised.
+    """
+    import numpy as np
+
+    from ._linalg import _exact, _max_abs
+
+    n = 2**d
+    # rows past the first of another length are not read
+    short = next((i for i, row in enumerate(rows) if len(row) != n), len(rows))
+    L = math.lcm(*(v.denominator for v in values))
+    distinct = np.array([v.numerator * (L // v.denominator) for v in values], dtype=object)
+    (distinct,) = _exact(n * _max_abs(distinct), distinct)  # a row sum is at most n times a key
+    keys = distinct[np.array(rows[:short], dtype=np.intp).reshape(-1, n)]
+    invalid = np.flatnonzero((keys < 0).any(axis=1) | (keys.sum(axis=1) != L)).tolist() + [short]
+    if invalid[0] < len(rows):
+        try:
+            Pmf(d=d, cells=tuple(values[k] for k in rows[invalid[0]]), mode=RATIONAL)
+        except DomainError as exc:
+            raise TableParseError(f"vertex {invalid[0] + 1}: {exc}") from exc
+    (keys,) = _exact(L, keys)
+    return keys, L
+
+
 def vertexset_from_json(text: str) -> VertexSet:
+    """The vertex set of a vertex JSON document; every vertex is checked as a pmf and against the targets.
+
+    Each distinct cell string is parsed once; the keys are checked as one
+    matrix (:func:`_vertex_keys`).  The first vertex that fails a check
+    names the error, as if each vertex were parsed and validated in turn.
+    """
     import numpy as np
 
     from ._linalg import _exact, _max_abs
@@ -338,17 +387,22 @@ def vertexset_from_json(text: str) -> VertexSet:
         d = obj["d"]
         if type(d) is not int or d != targets.d:  # JSON true is a bool, an int subclass
             raise TableParseError(f"vertex file 'd' must be the integer d={targets.d} of its targets, got {d!r}")
-        rows = []
-        for i, entry in enumerate(_array(obj["vertices"], "'vertices'"), start=1):
-            cells = tuple(parse_rational(c) for c in _array(entry["cells"], "vertex 'cells'"))
-            try:
-                rows.append(Pmf(d=d, cells=cells, mode=RATIONAL).cells)
-            except DomainError as exc:
-                raise TableParseError(f"vertex {i}: {exc}") from exc
+        index, values, rows = {}, [], []
+        try:
+            for entry in _array(obj["vertices"], "'vertices'"):
+                cells = _array(entry["cells"], "vertex 'cells'")
+                try:
+                    # every cell a string already seen: one dict lookup each
+                    rows.append(list(map(index.__getitem__, cells)))
+                except (KeyError, TypeError):
+                    rows.append([_cell_index(c, index, values) for c in cells])
+        except (TableParseError, KeyError, TypeError):
+            # a vertex read before the failing one that is no pmf names the error
+            _vertex_keys(d, rows, values)
+            raise
     except (KeyError, TypeError) as exc:
         raise TableParseError(f"malformed vertex JSON: {exc}") from exc
-    L = math.lcm(*(c.denominator for row in rows for c in row))
-    (keys,) = _exact(L, np.array([[int(c * L) for c in row] for row in rows], dtype=object).reshape(-1, H.n_cols))
+    keys, L = _vertex_keys(d, rows, values)
     K, h = _exact(H.n_cols * _max_abs(H.int_rows) * L, keys, H.int_rows)
     violated = np.flatnonzero((K @ h.T != 0).any(axis=1))
     if len(violated):

@@ -37,7 +37,7 @@ from conftest import (
     reference_uniform_moment,
 )
 from bintab._linalg import _integer_rows
-from bintab.constraints import MAX_DIGITS
+from bintab.constraints import MAX_DIGITS, _moment
 
 F = Fraction
 
@@ -139,6 +139,40 @@ class TestMomentForMargins:
         p = Pmf.from_counts([1, 7, 7, 1])
         for margins in ("uniform", "observed"):
             assert targets_from_pmf(p, digits=3, margins=margins).moments == {(1, 2): F(63, 1000)}
+
+
+class TestIntegerMoment:
+    """The integer core of ``moment_for_margins``: omega = p/q, a = a1/a0, b = b1/b0 as integer pairs."""
+
+    @staticmethod
+    def random_case(rng):
+        omega = F(rng.randint(1, 10 ** rng.randint(1, 6)), rng.randint(1, 10 ** rng.randint(1, 6)))
+        margins = []
+        for _ in range(2):
+            den = rng.choice([2, 2, rng.randint(2, 1000)])
+            margins.append(F(rng.randint(1, den - 1), den))
+        return omega, margins[0], margins[1], rng.randint(0, 20)
+
+    def test_equals_moment_for_margins_on_lowest_terms(self):
+        rng = random.Random(2701)
+        for _ in range(300):
+            omega, a, b, digits = self.random_case(rng)
+            terms = (omega.numerator, omega.denominator, a.numerator, a.denominator, b.numerator, b.denominator)
+            assert _moment(*terms, digits) == moment_for_margins(omega, a, b, digits)
+
+    def test_scaling_any_pair_leaves_it_unchanged(self):
+        rng = random.Random(2702)
+        for _ in range(300):
+            omega, a, b, digits = self.random_case(rng)
+            expected = moment_for_margins(omega, a, b, digits)
+            pairs = [(omega.numerator, omega.denominator), (a.numerator, a.denominator), (b.numerator, b.denominator)]
+            # each pair alone, then all three at once, by factors up to 10^12
+            for scaled in ([0], [1], [2], [0, 1, 2]):
+                terms = []
+                for k, (num, den) in enumerate(pairs):
+                    factor = rng.randint(2, 10 ** rng.randint(1, 12)) if k in scaled else 1
+                    terms += [num * factor, den * factor]
+                assert _moment(*terms, digits) == expected
 
 
 class TestMomentOracles:
@@ -321,6 +355,44 @@ class TestMarginTargets:
 
     def test_frechet_boundary_allowed(self):
         MarginTargets.uniform(3, {(1, 2): F(1, 2), (1, 3): F(1, 4), (2, 3): F(1, 4)})
+
+    @staticmethod
+    def fraction_violation(univariate, moments):
+        """The first pair, in moment order, with mu outside [max(0, mi + mj - 1), min(mi, mj)], in Fractions."""
+        for (i, j), mu in moments.items():
+            mi, mj = univariate[i - 1], univariate[j - 1]
+            if not (max(F(0), mi + mj - 1) <= mu <= min(mi, mj)):
+                return (i, j)
+        return None
+
+    def test_frechet_check_matches_the_fraction_bounds(self):
+        # each target at a bound, just inside or just outside one, or anywhere in -0.3..1.3
+        rng = random.Random(2703)
+        outcomes = set()
+        for _ in range(600):
+            d = rng.randint(2, 5)
+            den = rng.choice([2, 3, 10, 997, 10**12])
+            univariate = tuple(F(rng.randint(1, den - 1), den) for _ in range(d))
+            moments = {}
+            for i in range(1, d + 1):
+                for j in range(i + 1, d + 1):
+                    a, b = univariate[i - 1], univariate[j - 1]
+                    lo, hi = max(F(0), a + b - 1), min(a, b)
+                    eps = F(1, rng.choice([7, 10**6, 10**30]))
+                    choices = [lo, hi, lo + eps, hi - eps, (lo + hi) / 2, F(rng.randint(-3, 13), 10)]
+                    # outside the bounds at most rarely, so later pairs are reached too
+                    if rng.random() < 0.15:
+                        choices = [lo - eps, hi + eps]
+                    moments[(i, j)] = rng.choice(choices)
+            expected = self.fraction_violation(univariate, moments)
+            outcomes.add(expected)
+            if expected is None:
+                assert MarginTargets(d=d, univariate=univariate, moments=moments).frechet_violation() is None
+            else:
+                with pytest.raises(InfeasibleTargetsError) as err:
+                    MarginTargets(d=d, univariate=univariate, moments=moments)
+                assert err.value.pair == expected
+        assert None in outcomes and (1, 2) in outcomes and len(outcomes) > 5
 
     def test_pair_margin_table(self):
         targets = MarginTargets(

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -320,6 +321,39 @@ class TestMaskKernel:
         assert min(adjacent[1:]) > 0
 
 
+def mask_systems():
+    """Systems for the mask invariant, by id: water, pool tables, a d=5 prefix and a Python-int system."""
+    d5 = build_H(MarginTargets.uniform(5, {(i, j): F(3, 10) for i in range(1, 6) for j in range(i + 1, 6)}))
+    return {
+        "water": lambda fx: build_H(targets_from_pmf(fx("water"), digits=3)),
+        "pool-uniform": lambda fx: build_H(targets_from_pmf(fx("pool_pmfs")[0], digits=2)),
+        "pool-observed": lambda fx: build_H(targets_from_pmf(fx("pool_pmfs")[1], digits=3, margins="observed")),
+        # the five margin rows and the first two moment rows of equicorrelated d=5
+        "d5-prefix": lambda fx: prefix_H(d5, 7),
+        # digits 20 puts the rays past the int64 bound
+        "water-digits-20": lambda fx: build_H(targets_from_pmf(fx("water"), digits=20)),
+    }
+
+
+class TestRowMasks:
+    @pytest.mark.parametrize("name", list(mask_systems()))
+    def test_returned_masks_are_the_ray_supports(self, request, name):
+        # a new ray's mask is the union of its pair's masks: after every row it equals the support of the ray
+        H = mask_systems()[name](request.getfixturevalue)
+        R = np.eye(H.n_cols, dtype=np.int64)
+        masks = geometry._mask_words(R)
+        dtypes = set()
+        for inserted, h in enumerate(H.int_rows):
+            R, masks, counts = geometry._insert_equality(R, masks, inserted, h)
+            expected = geometry._mask_words(R)
+            assert masks.dtype == expected.dtype and masks.shape == expected.shape
+            assert (masks == expected).all()
+            dtypes.add(R.dtype)
+        assert len(R) and counts["subset_pairs"] > 0
+        # the margin rows keep the rays int64; at digits 20 the moment rows take them to Python ints
+        assert dtypes == ({np.dtype(np.int64), np.dtype(object)} if name == "water-digits-20" else {np.dtype(np.int64)})
+
+
 def prefix_H(H, k):
     """The first ``k`` rows of H as a hand-built system."""
     return ConstraintMatrix(d=H.d, rows=H.rows[:k], labels=H.labels[:k], targets=H.targets)
@@ -483,6 +517,20 @@ class TestVertexMatrix:
         assert [v.cells for v in loaded.vertices] == [v.cells for v in reversed(V.vertices)]
         assert (loaded.keys.dtype, loaded.scale) == (V.keys.dtype, V.scale)
         assert loaded.dimension == V.dimension
+
+    def test_d5_vertex_file_round_trips(self):
+        # 10,146 vertices of equicorrelated mu = 2/5 through the writer and the reader, in order and reversed.
+        # (The margin polytope itself has no vertex file: the file's targets rebuild the moment rows.)
+        moments = {(i, j): F(2, 5) for i in range(1, 6) for j in range(i + 1, 6)}
+        V = enumerate_vertices(build_H(MarginTargets.uniform(5, moments)))
+        assert len(V) == 10146
+        payload = vertexset_to_json_dict(V)
+        loaded = vertexset_from_json(json.dumps(payload))
+        assert (loaded.keys.dtype, loaded.scale) == (V.keys.dtype, V.scale)
+        assert loaded.keys.tolist() == V.keys.tolist()
+        assert [v.cells for v in loaded.vertices[:50]] == [v.cells for v in V.vertices[:50]]
+        payload["vertices"].reverse()
+        assert vertexset_from_json(json.dumps(payload)).keys.tolist() == V.keys.tolist()[::-1]
 
     @pytest.mark.parametrize("digits", [3, 20])
     def test_shared_arrays_are_read_only(self, water, digits):
@@ -846,6 +894,26 @@ class TestDecompose:
         reduced = type(V)(keys=V.keys[1:], scale=V.scale, constraints=V.constraints)
         with pytest.raises(NotInPolytopeError):
             decompose(target.to_float(), reduced, tol=1e-6)
+
+
+class TestDecomposeMemory:
+    def test_d5_margin_polytope_decompose_stays_small(self):
+        # the n x n Gram matrix of 2,712 vertices alone would take 59 MB
+        V = enumerate_vertices(d5_margin_H())
+        rng = random.Random(2712)
+        theta = [F(0)] * len(V)
+        for index, weight in zip(rng.sample(range(len(V)), 3), (F(1, 2), F(1, 3), F(1, 6))):
+            theta[index] = weight
+        point = mixture(MixtureWeights(tuple(theta)), V)
+        V.float_matrix
+        tracemalloc.start()
+        try:
+            weights = decompose(point, V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mixture(weights, V) == point
+        assert peak < 8 * 2**20
 
 
 class TestNnls:
