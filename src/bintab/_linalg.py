@@ -1,6 +1,6 @@
 """Exact linear algebra over rationals, on integers.
 
-Small dense systems only (at most a few dozen rows/columns).  There is one
+Small dense systems only (a few dozen rows, up to 2^d columns).  There is one
 elimination, :func:`_int_rref`, a fraction-free Gauss-Jordan.  Readers of
 H pass its primitive integer rows, the array ``ConstraintMatrix.int_rows``,
 which it reduces as they are; other rational rows are first scaled to
@@ -8,9 +8,10 @@ primitive integer rows (:func:`_integer_rows`).  Each row it returns is an
 integer multiple of a row of the reduced row echelon form, which is
 unique, so a Fraction read off it (an entry over the row's pivot entry) is
 the one plain Gauss-Jordan over Fractions gives.  The rank is the number
-of pivots.  :func:`frac_nullspace` and :func:`frac_solve` read the rows,
-and so do the support-rank and the interior-point certificate in
-``geometry``.
+of pivots.  :func:`frac_solve` reads the rows, and so do the
+support-rank and the interior-point certificate in ``geometry`` and the
+hit-and-run chart, ``ConstraintMatrix.kernel_chart``, which reads each
+kernel entry as a float by integer true division, with no Fraction.
 
 :func:`_exact` holds the one int64-or-Python-int rule for the exact integer
 arrays: H's integer rows, the rays and the vertex keys.
@@ -85,22 +86,6 @@ def _int_rref(rows: Union[Sequence[Sequence], np.ndarray]) -> Tuple[List[List[in
         if r == len(m):
             break
     return m, pivots
-
-
-def frac_nullspace(rows: Union[Sequence[Sequence], np.ndarray], ncols: int):
-    """Basis of the right kernel of the given rows, as tuples of Fractions.
-
-    Each basis vector sets one free variable to 1 and the others to 0.
-    """
-    m, pivots = _int_rref(rows)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(m, pivots):
-            vec[pc] = Fraction(-row[fc], row[pc])
-        basis.append(tuple(vec))
-    return basis
 
 
 def frac_solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):

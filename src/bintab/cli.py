@@ -12,7 +12,6 @@ run without loading numpy.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -67,24 +66,14 @@ from .table import (
 EXIT_INFEASIBLE = 2
 EXIT_PARSE = 3
 EXIT_DOMAIN = 4
-
-
-def _exit_on_errors(func):
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except TableParseError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
-        except (InfeasibleTargetsError, EmptyFeasibleSetError, NotInPolytopeError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INFEASIBLE)
-        except DomainError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DOMAIN)
-
-    return wrapper
+#: the package's errors and their exit codes, the first match winning
+_EXIT_CODES = {
+    TableParseError: EXIT_PARSE,
+    InfeasibleTargetsError: EXIT_INFEASIBLE,
+    EmptyFeasibleSetError: EXIT_INFEASIBLE,
+    NotInPolytopeError: EXIT_INFEASIBLE,
+    DomainError: EXIT_DOMAIN,
+}
 
 
 def _num(value):
@@ -123,7 +112,18 @@ _margins_option = click.option(
 )
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: a subcommand's package error is one ``error:`` line on stderr and its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(_EXIT_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error)))
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="bintab")
 def main():
     """Characterize binary tables with fixed margins and pairwise dependence."""
@@ -132,7 +132,6 @@ def main():
 @main.command()
 @_input_argument
 @_json_flag
-@_exit_on_errors
 def analyze(source, as_json):
     """Margins, correlations, and all odds-ratio flavors of a table."""
     pmf = _load_pmf(source)
@@ -185,7 +184,6 @@ def analyze(source, as_json):
 @_json_flag
 @_digits_option
 @_margins_option
-@_exit_on_errors
 def targets(source, as_json, digits, margins):
     """Margin/moment targets derived from a table's odds ratios."""
     tgt = _load_targets(source, digits, margins)
@@ -204,7 +202,6 @@ def targets(source, as_json, digits, margins):
 @_json_flag
 @_digits_option
 @_margins_option
-@_exit_on_errors
 def constraints(source, as_json, digits, margins):
     """The margin/moment constraint matrix for a table's targets."""
     H = build_H(_load_targets(source, digits, margins))
@@ -223,7 +220,6 @@ def constraints(source, as_json, digits, margins):
 @_digits_option
 @_margins_option
 @click.option("--output", "-o", help="Write the vertex set JSON here.")
-@_exit_on_errors
 def vertices(source, as_json, digits, margins, output):
     """Enumerate the extreme pmfs of the feasible polytope."""
     from .geometry import _require_nonempty, enumerate_vertices
@@ -252,7 +248,6 @@ def vertices(source, as_json, digits, margins, output):
 @click.option("--weights", required=True, help="Comma-separated weights, e.g. '1/2,1/2' or '0.3,0.7'.")
 @click.option("--output", "-o", help="Write the mixed table JSON here.")
 @_json_flag
-@_exit_on_errors
 def mixture(vertex_file, weights, output, as_json):
     """Convex combination of an enumerated vertex set."""
     from .geometry import MixtureWeights, mixture as geometry_mixture
@@ -274,7 +269,6 @@ def mixture(vertex_file, weights, output, as_json):
 @click.argument("vertex_file")
 @_input_argument
 @click.option("--tol", default=1e-9, show_default=True, help="Max-norm membership tolerance.")
-@_exit_on_errors
 def decompose(vertex_file, source, tol):
     """Mixture weights representing a table over a vertex set."""
     from .geometry import decompose as geometry_decompose
@@ -296,7 +290,6 @@ def decompose(vertex_file, source, tol):
 )
 @click.option("--eps", default=DEFAULT_EPS, show_default=True, help="Smoothing added to each cell before logs.")
 @_json_flag
-@_exit_on_errors
 def loglinear(source, parametrization, eps, as_json):
     """Saturated log-linear coefficients of a table."""
     pmf = _load_pmf(source)
@@ -326,7 +319,6 @@ def loglinear(source, parametrization, eps, as_json):
 @_digits_option
 @_margins_option
 @click.option("--output", "-o", help="Write JSON-lines here instead of stdout.")
-@_exit_on_errors
 def sample(source, method, count, seed, burn_in, thinning, digits, margins, output):
     """Draw feasible pmfs (JSON-lines: one header record, then one pmf per line)."""
     from .geometry import _require_nonempty, enumerate_vertices
@@ -362,7 +354,6 @@ def sample(source, method, count, seed, burn_in, thinning, digits, margins, outp
 @_margins_option
 @click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @click.option("--max-iter", default=DEFAULT_MAX_ITER, show_default=True)
-@_exit_on_errors
 def ipf(source, as_json, digits, margins, tol, max_iter):
     """Maximum-entropy table for a table's targets, via proportional fitting."""
     from .ipf import ipf_max_entropy
@@ -387,7 +378,6 @@ def ipf(source, as_json, digits, margins, tol, max_iter):
 @main.command()
 @click.argument("example", type=click.Choice(list(datasets.BUILTIN_NAMES)))
 @_json_flag
-@_exit_on_errors
 def reproduce(example, as_json):
     """Recompute a built-in case study and compare with its published values."""
     from .reproduce import reproduce_report

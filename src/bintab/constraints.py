@@ -47,7 +47,10 @@ system determines and the queries on it read:
   dimension of the polytope (:func:`bintab.geometry._relative_interior`),
   read by ``polytope_dimension`` and the CLI hit-and-run start;
 * ``kernel_chart``, the read-only orthonormal float chart of the exact
-  kernel of ``[H; 1]`` that hit-and-run walks in.
+  kernel of ``[H; 1]`` that hit-and-run walks in, read off the integer
+  elimination of ``[H; 1]``.  The row space of ``[H; 1]`` is the span of
+  the Walsh characters of order at most 2 for every :func:`build_H`
+  system, so the chart is the same array for every such system of one d.
 
 A read that raises, such as the :class:`~bintab.errors.EmptyFeasibleSetError`
 of an empty polytope, caches nothing, so every later read raises too.
@@ -387,17 +390,28 @@ class ConstraintMatrix:
     def kernel_chart(self) -> np.ndarray:
         """An orthonormal float basis, as columns, of the kernel of H with an all-ones row appended; read-only.
 
-        The exact rational kernel basis of ``[H; 1]``, converted to floats
-        and orthonormalized by a QR factorization: the chart hit-and-run
-        walks in.  Its shape is ``(2^d, 0)`` when that kernel is {0}.
+        The kernel basis read off the integer elimination of ``[H; 1]``
+        (:func:`bintab._linalg._int_rref`), orthonormalized by a QR
+        factorization: the chart hit-and-run walks in.  Free column ``fc``
+        gives the vector that is 1 at ``fc`` and ``-row[fc] / row[pc]`` at
+        each pivot ``pc``, an integer true division, so each entry is the
+        correctly rounded rational; an entry whose ``row[fc]`` is 0 stays
+        +0.0 (``-0 / row[pc]`` is -0.0 when ``row[pc] < 0``).  Its shape
+        is ``(2^d, 0)`` when that kernel is {0}.
         """
         import numpy as np
 
-        from ._linalg import frac_nullspace
+        from ._linalg import _int_rref
 
-        basis = frac_nullspace(np.vstack([self.int_rows, np.ones(self.n_cols, dtype=np.int64)]), self.n_cols)
-        if basis:
-            chart, _ = np.linalg.qr(np.array([[float(v) for v in vec] for vec in basis], dtype=float).T)
+        m, pivots = _int_rref(np.vstack([self.int_rows, np.ones(self.n_cols, dtype=np.int64)]))
+        free = sorted(set(range(self.n_cols)).difference(pivots))
+        if free:
+            basis = np.zeros((len(free), self.n_cols))
+            basis[range(len(free)), free] = 1.0
+            for row, pc in zip(m, pivots):
+                # Python-int true division rounds correctly past 2^53, where float64 operands would not
+                basis[:, pc] = [-row[fc] / row[pc] if row[fc] else 0.0 for fc in free]
+            chart, _ = np.linalg.qr(basis.T)
         else:
             chart = np.empty((self.n_cols, 0))
         chart.flags.writeable = False

@@ -84,10 +84,13 @@ def ipf_max_entropy(
     Raises
     ------
     DomainError
-        If ``max_iter < 1``, or if ``tol`` is not a finite number >= 0.
+        If ``max_iter`` is not an integer (a bool is not one) or is below 1,
+        or if ``tol`` is not a finite number >= 0.
     EmptyFeasibleSetError
         If the targets admit no feasible table (checked exactly first).
     """
+    if not isinstance(max_iter, int) or isinstance(max_iter, bool):
+        raise DomainError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0):

@@ -112,6 +112,17 @@ def reference_nullspace(rows, ncols):
     return basis
 
 
+def walsh_character(d, axes):
+    """The Walsh character chi_S of the axes S over the 2^d cells, as a tuple of +1 and -1.
+
+    chi_S(k) = (-1)^(sum of bit_i(k) over i in S), where axis 1 is the most
+    significant bit of the cell index k.  The characters with |S| <= 2 span
+    the row space of [H; 1] for every ``build_H`` system (Bahadur 1961), so
+    those with |S| >= 3 span its kernel.
+    """
+    return tuple(-1 if sum((k >> (d - i)) & 1 for i in axes) % 2 else 1 for k in range(2**d))
+
+
 def reference_primitive_row(row):
     """The primitive integer row that is a positive multiple of the rational ``row``."""
     den = 1

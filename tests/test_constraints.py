@@ -4,6 +4,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,13 +29,16 @@ from bintab import (
 )
 from conftest import (
     EXAMPLE1_VERTEX_A,
+    generic_targets,
     random_rational_pmf,
     reference_moment_from_root,
+    reference_nullspace,
     reference_observed_targets,
     reference_primitive_row,
     reference_rank,
     reference_targets,
     reference_uniform_moment,
+    walsh_character,
 )
 from bintab._linalg import _integer_rows
 from bintab.constraints import MAX_DIGITS, _moment
@@ -573,3 +577,51 @@ class TestResidual:
     def test_dimension_mismatch(self, example1_H3):
         with pytest.raises(DomainError):
             residual(example1_H3, Pmf.uniform(4))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestKernelChart:
+    """The kernel of [H; 1] is the span of the Walsh characters of order >= 3, for every ``build_H`` system."""
+
+    @staticmethod
+    def _H(d, margins):
+        return build_H(targets_from_pmf(random_rational_pmf(random.Random(d), d, positive=True), digits=2, margins=margins))
+
+    @staticmethod
+    def _higher(d):
+        return [axes for size in range(3, d + 1) for axes in combinations(range(1, d + 1), size)]
+
+    @pytest.mark.parametrize("margins", ["uniform", "observed"])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_higher_characters_annihilate_the_integer_rows(self, d, margins):
+        rows = self._H(d, margins).int_rows.tolist() + [[1] * 2**d]
+        for axes in self._higher(d):
+            chi = walsh_character(d, axes)
+            assert all(sum(h * c for h, c in zip(row, chi)) == 0 for row in rows)
+        assert reference_rank(rows) == 1 + d + math.comb(d, 2)
+
+    @pytest.mark.parametrize("margins", ["uniform", "observed"])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_chart_spans_the_higher_characters(self, d, margins):
+        chart = self._H(d, margins).kernel_chart
+        assert chart.shape == (2**d, 2**d - 1 - d - math.comb(d, 2))
+        chars = np.array([walsh_character(d, axes) for axes in self._higher(d)], dtype=float).T / 2 ** (d / 2)
+        assert np.abs(chars - chart @ (chart.T @ chars)).max() <= 1e-12
+
+    def test_chart_depends_only_on_d(self, water, pool_pmfs):
+        # the reduced echelon form of [H; 1] depends only on its row space, span{chi_S : |S| <= 2}
+        charts = [build_H(targets_from_pmf(water, digits=3)).kernel_chart]
+        for digits in (2, 3, 5):
+            charts.append(build_H(targets_from_pmf(pool_pmfs[0], digits=digits)).kernel_chart)
+            charts.append(build_H(targets_from_pmf(pool_pmfs[1], digits=digits, margins="observed")).kernel_chart)
+        assert all(np.array_equal(_bits(chart), _bits(charts[0])) for chart in charts[1:])
+
+    def test_chart_matches_the_reference_route_bit_for_bit(self):
+        # the chart reference_hit_and_run builds, past the d <= 6 walks that pin it; a -0.0 entry changes the bits
+        H = build_H(generic_targets(7))
+        basis = reference_nullspace(list(H.rows) + [tuple([F(1)] * H.n_cols)], H.n_cols)
+        expected, _ = np.linalg.qr(np.array([[float(v) for v in vec] for vec in basis], dtype=float).T)
+        assert np.array_equal(_bits(H.kernel_chart), _bits(expected))

@@ -54,6 +54,12 @@ class TestConvergence:
         with pytest.raises(DomainError):
             ipf_max_entropy(targets_from_pmf(example1, digits=3), max_iter=max_iter)
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, float("inf")])
+    def test_max_iter_not_an_integer_rejected(self, example1, max_iter):
+        # 2.5 would run 3 sweeps and True 1; inf with tol=0.0 would never return
+        with pytest.raises(DomainError, match=f"max_iter must be an integer, got {max_iter!r}"):
+            ipf_max_entropy(targets_from_pmf(example1, digits=3), max_iter=max_iter)
+
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
     def test_tol_outside_domain_rejected(self, water, tol):
         # nan and -1 would run every sweep and report no convergence; inf would stop after one
