@@ -44,7 +44,8 @@ system determines and the queries on it read:
 * ``float_rows``, the rows with each entry converted to a float, which
   :func:`residual` reads for a float pmf (the hit-and-run start check);
 * ``relative_interior``, an exact relative-interior point and the affine
-  dimension of the polytope (:func:`bintab.geometry._relative_interior`),
+  dimension of the polytope (:func:`bintab.geometry._relative_interior`,
+  from the second-order table of ``targets``, which must have the d of H),
   read by ``polytope_dimension`` and the CLI hit-and-run start;
 * ``kernel_chart``, the read-only orthonormal float chart of the exact
   kernel of ``[H; 1]`` that hit-and-run walks in, read off the integer
@@ -341,6 +342,8 @@ class ConstraintMatrix:
     )
 
     def __post_init__(self):
+        if self.targets.d != self.d:
+            raise DimensionMismatchError(f"targets of d={self.targets.d} for a d={self.d} system")
         # every reader zips labels with rows, so a missing label would silently drop its row
         if len(self.labels) != len(self.rows):
             raise DimensionMismatchError(f"{len(self.labels)} labels for {len(self.rows)} rows")

@@ -92,17 +92,16 @@ row that emptied it, if one did, and each row's debug record, which is
 emitted again on every use, so the row trace is complete either way.
 
 Nonemptiness, the affine dimension and the hit-and-run start all come
-from one exact relative-interior point (:func:`_relative_interior`).  A
-float projection of the uniform table, made exact on the integer
-Gauss-Jordan rows of ``H.int_rows``, usually certifies a full-support
-feasible table;
-then the affine hull is ``{H y = 0, sum(y) = 1}`` (the all-ones row is not
-in the row space of H, as the point has a positive sum) and the dimension
-is ``2^d - 1 - rank(H)``.  Otherwise one ray pass runs: every feasible
-table is zero off S, the cells some vertex uses, and the vertex centroid
-is positive on S, so the dimension is ``|S| - 1 - rank(H on the S
-columns)``, exact on degenerate polytopes too.  Each certificate attempt
-emits one debug record whose mapping arguments are ``certified`` and ``rank``.
+from one exact relative-interior point (:func:`_relative_interior`): the
+second-order table of the targets (Bahadur 1961), in integers, when every
+cell is positive and ``H y = 0`` holds exactly.  Then the affine hull is
+``{H y = 0, sum(y) = 1}`` (the all-ones row is not in the row space of H,
+as the point has a positive sum) and the dimension is ``2^d - 1 - rank(H)``.
+Otherwise one ray pass runs: every feasible table is zero off S, the cells
+some vertex uses, and the vertex centroid is positive on S, so the
+dimension is ``|S| - 1 - rank(H on the S columns)``, exact on degenerate
+polytopes too.  Each certificate attempt emits one debug record whose
+mapping arguments are ``certified`` and ``rank``.
 The point and the dimension are cached on the system, as
 ``ConstraintMatrix.relative_interior``, so repeated queries on one H
 (:func:`polytope_dimension`, the CLI hit-and-run start) run the attempt
@@ -135,20 +134,20 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import _linalg
 from ._linalg import _exact, _int_rref, _max_abs, frac_solve
-from .constraints import ConstraintMatrix
+from .constraints import ConstraintMatrix, MarginTargets
 from .errors import (
     DimensionMismatchError,
     DomainError,
     EmptyFeasibleSetError,
     NotInPolytopeError,
 )
-from .table import FLOAT, RATIONAL, Pmf, _probability_vector, float_cells
+from .table import FLOAT, RATIONAL, Pmf, _bit, _probability_vector, float_cells
 
 #: Size of the (candidate pairs x rays) block of one vectorized subset test.
 _SUBSET_BLOCK_BYTES = 1 << 20
@@ -375,9 +374,6 @@ def _extreme_rays(H: ConstraintMatrix) -> Tuple[np.ndarray, Optional[tuple]]:
 
 def enumerate_vertices(H: ConstraintMatrix) -> VertexSet:
     """Extreme pmfs of the feasible polytope: each extreme ray divided by its coordinate sum."""
-    if H.d < 2:
-        # the vertices skip Pmf validation, which would reject this
-        raise DomainError(f"dimension must be >= 2, got {H.d}")
     R, certificate = _extreme_rays(H)
     (R,) = _exact(R.shape[1] * _max_abs(R), R)
     sums = R.sum(axis=1)
@@ -398,47 +394,50 @@ def _require_nonempty(V: VertexSet):
         raise EmptyFeasibleSetError("the feasible polytope is empty", certificate=V.empty_certificate)
 
 
-def _uniform_projection(rows: Sequence[Sequence], n: int) -> np.ndarray:
-    """Float least-squares projection of the uniform table onto ``{y : rows y = 0, sum(y) = 1}``."""
-    A = np.array([[v.numerator / v.denominator for v in row] for row in rows] + [[1.0] * n])
-    u = np.full(n, 1.0 / n)
-    b = np.zeros(len(A))
-    b[-1] = 1.0
-    return u + np.linalg.lstsq(A, b - A @ u, rcond=None)[0]
+def _second_order_point(targets: MarginTargets) -> List[int]:
+    """M^d times Bahadur's second-order table of the targets, one int per cell; M the lcm of the target denominators.
+
+    With w_j(1) = M m_j, w_j(0) = M - M m_j and P = prod_j w_j(x_j), cell x
+    is ``P + sum_{k<l} +-(M^2 mu_kl - M m_k M m_l) (P // (w_k w_l))``, + where
+    x_k = x_l: every target margin and moment, and no interaction of order 3
+    or more.  Under uniform margins it is the L2 projection of the uniform
+    table onto the affine hull.  Every w_j > 0, so each division is exact.
+    """
+    d = targets.d
+    M = math.lcm(*(t.denominator for t in (*targets.univariate, *targets.moments.values())))
+    ones = [int(M * m) for m in targets.univariate]
+    pairs = [(i - 1, j - 1, int(M * M * mu) - ones[i - 1] * ones[j - 1]) for (i, j), mu in targets.moments.items()]
+    y = []
+    for cell in range(2**d):
+        x = [_bit(cell, d, i) for i in range(1, d + 1)]
+        w = [a if v else M - a for a, v in zip(ones, x)]
+        P = math.prod(w)
+        y.append(P + sum((c if x[k] == x[l] else -c) * (P // (w[k] * w[l])) for k, l, c in pairs))
+    return y
 
 
 def _relative_interior(H: ConstraintMatrix) -> Tuple[Tuple[int, ...], int]:
     """An exact relative-interior point of the feasible polytope, and its affine dimension.
 
     ``y`` is a nonnegative integer vector with ``H y = 0``, positive on
-    every cell some feasible table uses.  A float proposal
-    (:func:`_uniform_projection`) sets the free coordinates of the integer
-    Gauss-Jordan form of H to integers (its values times 2^62, truncated);
-    each pivot coordinate is the rational its row forces, and ``y`` is that
-    point times the lcm of the pivot entries.  When every coordinate is
-    positive, ``y`` proves the dimension ``2^d - 1 - rank(H)``.  Otherwise
+    every cell some feasible table uses.  The proposal is the second-order
+    table of H's targets (:func:`_second_order_point`); when every cell of
+    it is positive and ``H y = 0`` holds exactly on the integer rows, ``y``
+    proves the dimension ``2^d - 1 - rank(H)``.  Otherwise
     :func:`enumerate_vertices` runs: ``y`` is the column sums of its keys
     (the vertex centroid, up to scale), and the dimension is
     :attr:`VertexSet.dimension`.  An empty polytope raises
     :class:`EmptyFeasibleSetError` with the row that emptied the cone.
     """
-    m, pivots = _int_rref(H.int_rows)
-    free = sorted(set(range(H.n_cols)) - set(pivots))
-    proposal = [int(v * 2.0**62) for v in _uniform_projection(H.rows, H.n_cols)[free].tolist()]
-    dots = [sum(row[c] * v for c, v in zip(free, proposal)) for row in m[: len(pivots)]]
-    # pivot coordinate = -(row . y) / row[pivot]: positive iff the dot product and the pivot differ in sign
-    certified = all(v > 0 for v in proposal) and all(dot * row[pc] < 0 for dot, row, pc in zip(dots, m, pivots))
+    _, pivots = _int_rref(H.int_rows)
+    y = _second_order_point(H.targets)
+    rows, point = _exact(H.n_cols * _max_abs(H.int_rows) * max(map(abs, y)), H.int_rows, np.array(y, dtype=object))
+    certified = min(y) > 0 and not (rows @ point).any()
     logger.debug(
         "interior point certificate: certified %(certified)s, rank %(rank)d",
         {"certified": certified, "rank": len(pivots)},
     )
     if certified:
-        scale = math.lcm(*(row[pc] for row, pc in zip(m, pivots)))
-        y = [0] * H.n_cols
-        for c, v in zip(free, proposal):
-            y[c] = v * scale
-        for dot, row, pc in zip(dots, m, pivots):
-            y[pc] = -dot * (scale // row[pc])
         return tuple(y), H.n_cols - 1 - len(pivots)
     V = enumerate_vertices(H)
     _require_nonempty(V)

@@ -13,16 +13,13 @@ from typing import List, Sequence, Tuple
 from .constraints import OBSERVED, UNIFORM, build_H, targets_from_pmf
 from .datasets import REFERENCE, builtin_pmf
 from .geometry import VertexSet, enumerate_vertices
-from .loglinear import corner_params, zero_mean_params
+from .loglinear import _subsets, corner_params, zero_mean_params
 from .table import Pmf, marginal_odds_ratio, top_order_odds_ratio
 
 #: Moment targets for the published tables were computed at this precision.
 REPRODUCE_DIGITS = 6
 #: The published vertex count of a case comes from targets at this precision.
 COUNT_DIGITS = 3
-
-_SUBSETS_D3 = ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
-
 
 def _section(title: str, rows: List[Tuple[str, float, float]], decimals: int = 3) -> dict:
     lines = []
@@ -71,7 +68,7 @@ def _loglinear_rows(matched: Sequence[Pmf], reference) -> List[dict]:
         rows = []
         for idx, vertex in enumerate(matched, start=1):
             params = fn(vertex)
-            for subset, ref in zip(_SUBSETS_D3, reference[name][idx - 1]):
+            for subset, ref in zip(_subsets(vertex.d), reference[name][idx - 1]):
                 label = "".join(map(str, subset)) or "0"
                 rows.append((f"r{idx} lambda[{label}]", params.coefficients[subset], float(ref)))
         sections.append(_section(f"log-linear coefficients ({name}, eps=1e-8)", rows, decimals=2))

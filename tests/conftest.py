@@ -62,6 +62,11 @@ def example1_H3():
 EXAMPLE1_VERTEX_A = tuple(F(v, 1000) for v in (0, 194, 222, 84, 257, 49, 21, 173))
 EXAMPLE1_VERTEX_B = tuple(F(v, 1000) for v in (173, 21, 49, 257, 84, 222, 194, 0))
 
+#: Counts of an observed-margin d=5 table whose polytope is full-dimensional
+#: (dimension 16 at digits 3), though the least-squares projection of the
+#: uniform table onto it has a negative cell.
+MOD19_COUNTS = [(10 * k) % 19 for k in range(32)]
+
 
 # ---------------------------------------------------------------------------
 # independent rational elimination
@@ -121,6 +126,37 @@ def walsh_character(d, axes):
     those with |S| >= 3 span its kernel.
     """
     return tuple(-1 if sum((k >> (d - i)) & 1 for i in axes) % 2 else 1 for k in range(2**d))
+
+
+def reference_axis_mass(cells, axes):
+    """P(X_i = 1 for every axis i in ``axes``) of a table of exact masses summing to 1."""
+    d = len(cells).bit_length() - 1
+    return sum((c for k, c in enumerate(cells) if all((k >> (d - i)) & 1 for i in axes)), F(0))
+
+
+def reference_centred_moment(cells, means, axes):
+    """E[prod over i in ``axes`` of (X_i - means[i - 1])] of a table of exact masses summing to 1."""
+    d = len(cells).bit_length() - 1
+    total = F(0)
+    for k, c in enumerate(cells):
+        term = F(c)
+        for i in axes:
+            term *= ((k >> (d - i)) & 1) - means[i - 1]
+        total += term
+    return total
+
+
+def reference_second_order_uniform(d, moments):
+    """The uniform-margin table 2^-d (1 + sum rho_ij chi_ij) with rho_ij = 4 mu_ij - 1 (Bahadur 1961).
+
+    Of all tables with margins 1/2 and the moments ``moments``, the one
+    whose Walsh coefficients of order 3 and higher are all 0.
+    """
+    cells = [F(1)] * 2**d
+    for (i, j), mu in moments.items():
+        rho = 4 * F(mu) - 1
+        cells = [c + rho * chi for c, chi in zip(cells, walsh_character(d, (i, j)))]
+    return [c / 2**d for c in cells]
 
 
 def reference_primitive_row(row):

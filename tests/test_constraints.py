@@ -483,6 +483,13 @@ class TestHandBuiltShape:
             with pytest.raises(DimensionMismatchError, match=f"row 1 has {len(row)} entries for 8 cells"):
                 ConstraintMatrix(d=H.d, rows=rows, labels=H.labels, targets=H.targets)
 
+    def test_targets_must_have_the_system_d(self, example1_H3):
+        # the rows of a d=2 system with d=3 targets used to enumerate, and write a
+        # vertex file that its own reader refused
+        H2 = build_H(MarginTargets.uniform(2, {(1, 2): F(3, 10)}))
+        with pytest.raises(DimensionMismatchError, match="targets of d=3 for a d=2 system"):
+            ConstraintMatrix(d=2, rows=H2.rows, labels=H2.labels, targets=example1_H3.targets)
+
 
 class TestIntRows:
     @pytest.mark.parametrize("margins", ["uniform", "observed"])

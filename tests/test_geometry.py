@@ -1,6 +1,7 @@
 """Vertex enumeration, mixtures, and decomposition."""
 
 import functools
+import itertools
 import json
 import logging
 import math
@@ -38,13 +39,17 @@ from bintab.io import vertexset_from_json, vertexset_to_json_dict
 from conftest import (
     EXAMPLE1_VERTEX_A,
     EXAMPLE1_VERTEX_B,
+    MOD19_COUNTS,
     brute_force_vertices,
     d5_margin_H,
     generic_targets,
     random_rational_pmf,
     random_targets,
     reference_affine_rank,
+    reference_axis_mass,
+    reference_centred_moment,
     reference_rank,
+    reference_second_order_uniform,
 )
 
 F = Fraction
@@ -176,11 +181,9 @@ class TestExtremeRays:
             assert V.empty_certificate == certificate
 
     def test_hand_built_d1_system_rejected(self, example1_H3):
-        H1 = ConstraintMatrix(
-            d=1, rows=((F(1), F(-1)),), labels=example1_H3.labels[:1], targets=example1_H3.targets
-        )
-        with pytest.raises(DomainError, match="dimension must be >= 2"):
-            enumerate_vertices(H1)
+        # targets have d >= 2, and an H must have the d of its targets
+        with pytest.raises(DomainError, match="targets of d=3 for a d=1 system"):
+            ConstraintMatrix(d=1, rows=((F(1), F(-1)),), labels=example1_H3.labels[:1], targets=example1_H3.targets)
 
     def test_masks_wider_than_one_word(self, example1_H3):
         # d=7 has 128 cells, two mask words; the d=3 system sits on cells
@@ -190,7 +193,8 @@ class TestExtremeRays:
             tuple(row[c - offset] if offset <= c < offset + 8 else F(0) for c in range(128))
             for row in example1_H3.rows
         )
-        H7 = ConstraintMatrix(d=7, rows=rows, labels=example1_H3.labels, targets=example1_H3.targets)
+        targets7 = MarginTargets.uniform(7, {(i, j): F(1, 4) for i in range(1, 8) for j in range(i + 1, 8)})
+        H7 = ConstraintMatrix(d=7, rows=rows, labels=example1_H3.labels, targets=targets7)
         embedded = {
             tuple(ray[c - offset] if offset <= c < offset + 8 else 0 for c in range(128))
             for ray in _extreme_rays(example1_H3)[0].tolist()
@@ -683,6 +687,44 @@ class TestInteriorCertificate:
             assert all(v > 0 for v in y)
             assert 7 - reference_rank(H.rows) == dimension == polytope_dimension(H) == expected
 
+    @pytest.mark.parametrize("system, d, dimension", [("mod19", 5, 16), ("pool1", 4, 5)])
+    def test_observed_margin_systems_certify(self, pool_pmfs, no_ray_pass, system, d, dimension):
+        p = Pmf.from_counts(MOD19_COUNTS) if system == "mod19" else pool_pmfs[1]
+        targets = targets_from_pmf(p, digits=3, margins="observed")
+        H = build_H(targets)
+        assert H.d == d
+        # the least-squares projection of the uniform table, a float proposal, has a negative cell here
+        A = np.array([[float(v) for v in row] for row in H.rows] + [[1.0] * H.n_cols])
+        u = np.full(H.n_cols, 1.0 / H.n_cols)
+        b = np.zeros(len(A))
+        b[-1] = 1.0
+        assert (u + np.linalg.lstsq(A, b - A @ u, rcond=None)[0]).min() < 0
+        y, _ = H.relative_interior
+        assert all(isinstance(v, int) and v > 0 for v in y)
+        assert all(sum(h * v for h, v in zip(row, y)) == 0 for row in H.rows)
+        assert polytope_dimension(H) == dimension == H.n_cols - 1 - reference_rank(H.rows)
+        assert ipf_max_entropy(targets).converged
+
+    @pytest.mark.parametrize("margins", ["uniform", "observed"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_second_order_point_matches_oracle(self, d, margins):
+        rng = random.Random(100 * d + len(margins))
+        for digits in (2, 3):
+            targets = targets_from_pmf(random_rational_pmf(rng, d, positive=True), digits=digits, margins=margins)
+            y = geometry._second_order_point(targets)
+            assert len(y) == 2**d and all(type(v) is int for v in y)
+            cells = [F(v, sum(y)) for v in y]
+            for i, m in enumerate(targets.univariate, 1):
+                assert reference_axis_mass(cells, (i,)) == m
+            for pair, mu in targets.moments.items():
+                assert reference_axis_mass(cells, pair) == mu
+            # no interaction of order 3 or more
+            for size in range(3, d + 1):
+                for axes in itertools.combinations(range(1, d + 1), size):
+                    assert reference_centred_moment(cells, targets.univariate, axes) == 0
+            if margins == "uniform":
+                assert cells == reference_second_order_uniform(d, targets.moments)
+
     def test_nonpositive_proposal_falls_back(self, water, example1, monkeypatch):
         calls = []
         original = geometry._extreme_rays
@@ -692,7 +734,7 @@ class TestInteriorCertificate:
             return original(H)
 
         monkeypatch.setattr(geometry, "_extreme_rays", counting)
-        monkeypatch.setattr(geometry, "_uniform_projection", lambda rows, n: np.full(n, -1.0 / n))
+        monkeypatch.setattr(geometry, "_second_order_point", lambda targets: [-1] * 2**targets.d)
         cases = [
             (targets_from_pmf(water, digits=3), 5),
             (targets_from_pmf(example1, digits=3), 1),
@@ -732,7 +774,7 @@ class TestInteriorCertificate:
             targets = DEGENERATE_D3
         else:
             # a non-positive proposal certifies nothing; digits 20 runs the Python-int ray path
-            monkeypatch.setattr(geometry, "_uniform_projection", lambda rows, n: np.full(n, -1.0 / n))
+            monkeypatch.setattr(geometry, "_second_order_point", lambda targets: [-1] * 2**targets.d)
             targets = targets_from_pmf(request.getfixturevalue(system), digits=digits)
         H = build_H(targets)
         y, _ = geometry._relative_interior(H)

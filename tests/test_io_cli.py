@@ -29,7 +29,7 @@ from bintab.io import (
     vertexset_to_json_dict,
 )
 from bintab.reproduce import reproduce_report
-from conftest import d5_margin_H
+from conftest import MOD19_COUNTS, d5_margin_H
 
 F = Fraction
 
@@ -446,6 +446,23 @@ class TestCliVertices:
         assert result.exit_code == 0, result.output
         lines = result.output.splitlines()
         assert len(lines) == 4
+        assert all(len(json.loads(line)["cells"]) == 32 for line in lines[1:])
+
+    def test_hitrun_mod19_runs_no_ray_pass(self, runner, tmp_path, monkeypatch):
+        import bintab.geometry
+
+        def forbidden(H):
+            raise AssertionError("ray pass run")
+
+        monkeypatch.setattr(bintab.geometry, "_extreme_rays", forbidden)
+        table = tmp_path / "mod19.json"
+        # observed margins: a full-dimensional d=5 polytope whose start is the second-order table
+        table.write_text(json.dumps({"d": 5, "kind": "counts", "cells": MOD19_COUNTS}))
+        argv = ["sample", str(table), "--method", "hitrun", "--count", "2", "--margins", "observed", "--digits", "3"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 3
         assert all(len(json.loads(line)["cells"]) == 32 for line in lines[1:])
 
     def test_unsupported_targets_exit_code(self, runner, tmp_path):
