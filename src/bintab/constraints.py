@@ -25,36 +25,29 @@ The homogeneous constraint matrix H couples a cell vector p to the targets:
 * moment row (i, j): ``mu_ij - 1`` on cells with alpha_i*alpha_j = 1 and
   ``mu_ij`` elsewhere, so that ``row . p = mu_ij*sum(p) - m_ij^11``.
 
-Each row scaled to primitive integers is known in closed form, and
-:func:`build_H` emits it next to the rational row: with m_i = a/b a margin
-row is ``a`` on alpha_i = 0 cells and ``a - b`` on alpha_i = 1 cells
-(``+1`` and ``-1`` when m_i = 1/2), and with mu_ij = a/b a moment row is
-``a`` off the pair cells and ``a - b`` on them; gcd(a, a - b) = gcd(a, b)
-= 1, so each is primitive.
+Integer rows come first.  Each row scaled to primitive integers is known
+in closed form, and :func:`build_H` keeps only its terms: with m_i = a/b
+a margin row is ``a`` on alpha_i = 0 cells and ``a - b`` on alpha_i = 1
+cells, and with mu_ij = a/b a moment row is ``a`` off the pair cells and
+``a - b`` on them; gcd(a, a - b) = gcd(a, b) = 1, so each is primitive.
+A rational entry is the primitive entry over b, except that a uniform
+margin row (m_i = 1/2) is the primitive row itself, +-1.
 
 The nonnegative kernel of H is the cone of all feasible (unnormalized)
 tables; intersecting with the probability simplex gives the feasible
 polytope handled by :mod:`bintab.geometry`.
 
-H keeps its rational rows, and builds on first read, once each, what the
-system determines and the queries on it read:
-
-* ``int_rows``, the read-only matrix of the primitive integer rows, which
-  every exact reader of H uses;
-* ``float_rows``, the rows with each entry converted to a float, which
-  :func:`residual` reads for a float pmf (the hit-and-run start check);
-* ``relative_interior``, an exact relative-interior point and the affine
-  dimension of the polytope (:func:`bintab.geometry._relative_interior`,
-  from the second-order table of ``targets``, which must have the d of H),
-  read by ``polytope_dimension`` and the CLI hit-and-run start;
-* ``kernel_chart``, the read-only orthonormal float chart of the exact
-  kernel of ``[H; 1]`` that hit-and-run walks in, read off the integer
-  elimination of ``[H; 1]``.  The row space of ``[H; 1]`` is the span of
-  the Walsh characters of order at most 2 for every :func:`build_H`
-  system, so the chart is the same array for every such system of one d.
-
-A read that raises, such as the :class:`~bintab.errors.EmptyFeasibleSetError`
-of an empty polytope, caches nothing, so every later read raises too.
+H builds on first read, once each, what the system determines and the
+queries on it read: ``int_rows``, which every exact reader of H uses;
+``rows``, which the ``bintab constraints`` output and an exact
+:func:`residual` read; ``relative_interior``, read by
+``polytope_dimension`` and the CLI hit-and-run start; and
+``kernel_chart``, which hit-and-run walks in.  The row space of
+``[H; 1]`` is the span of the Walsh characters of order at most 2 for
+every :func:`build_H` system, so the chart is the same array for every
+such system of one d.  A read that raises, such as the
+:class:`~bintab.errors.EmptyFeasibleSetError` of an empty polytope, caches
+nothing, so every later read raises too.
 """
 
 from __future__ import annotations
@@ -245,11 +238,6 @@ class MarginTargets:
                 return (i, j)
         return None
 
-    @property
-    def is_uniform(self) -> bool:
-        half = Fraction(1, 2)
-        return all(m == half for m in self.univariate)
-
     @classmethod
     def uniform(cls, d: int, moments: Dict[Pair, Fraction]) -> "MarginTargets":
         return cls(d=d, univariate=tuple([Fraction(1, 2)] * d), moments=moments)
@@ -321,43 +309,67 @@ def targets_from_pmf(p: Pmf, digits: int = DEFAULT_DIGITS, margins: str = UNIFOR
 RowLabel = Tuple  # ("margin", i) or ("moment", i, j)
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=8)
+def _ones_table(d: int) -> np.ndarray:
+    """Per row of a d-way :func:`build_H` system and per cell, whether every axis of the row is 1 there; read-only."""
+    import numpy as np
+
+    bits = ((np.arange(2**d) >> np.arange(d - 1, -1, -1)[:, None]) & 1).astype(bool)
+    i, j = np.triu_indices(d, 1)  # the pairs in pair-lexicographic order
+    table = np.concatenate([bits, bits[i] & bits[j]])
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ConstraintMatrix:
     """The homogeneous margin/moment system ``H p = 0``.
 
-    Rows are exact rationals: d margin rows followed by the d(d-1)/2 moment
-    rows in pair-lexicographic order.  ``labels[r]`` names row ``r``.
-    ``primitive_rows`` holds each row scaled to its primitive integer
-    multiple, in the closed form :func:`build_H` emits; only ``build_H``
-    sets it, so it always belongs to ``rows``.  On any other H it is
-    ``None`` and ``int_rows`` scales ``rows`` itself.
+    d margin rows followed by the d(d-1)/2 moment rows in pair-lexicographic
+    order; ``labels[r]`` names row ``r``.  A :func:`build_H` system holds
+    the terms of the module note, and derives ``int_rows`` and ``rows``
+    from them.  A system built by hand keeps its rational ``rows``, and
+    ``int_rows`` scales each to its primitive integer multiple.  Systems
+    with equal d, labels, targets and rows are equal.
     """
 
     d: int
-    rows: Tuple[Tuple[Fraction, ...], ...]
     labels: Tuple[RowLabel, ...]
     targets: MarginTargets
-    primitive_rows: Optional[Tuple[Tuple[int, ...], ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        if self.targets.d != self.d:
-            raise DimensionMismatchError(f"targets of d={self.targets.d} for a d={self.d} system")
+    def __init__(self, d: int, rows, labels, targets: MarginTargets):
+        if targets.d != d:
+            raise DimensionMismatchError(f"targets of d={targets.d} for a d={d} system")
         # every reader zips labels with rows, so a missing label would silently drop its row
-        if len(self.labels) != len(self.rows):
-            raise DimensionMismatchError(f"{len(self.labels)} labels for {len(self.rows)} rows")
-        for r, row in enumerate(self.rows):
-            if len(row) != self.n_cols:
-                raise DimensionMismatchError(f"row {r} has {len(row)} entries for {self.n_cols} cells")
+        if len(labels) != len(rows):
+            raise DimensionMismatchError(f"{len(labels)} labels for {len(rows)} rows")
+        for r, row in enumerate(rows):
+            if len(row) != 2**d:
+                raise DimensionMismatchError(f"row {r} has {len(row)} entries for {2**d} cells")
+        # the given rows stand in place of the derived ones; _terms is None on every H but build_H's
+        vars(self).update(d=d, rows=rows, labels=tuple(labels), targets=targets, _terms=None)
+
+    def __eq__(self, other):
+        if not isinstance(other, ConstraintMatrix):
+            return NotImplemented
+        return (self.d, self.labels, self.targets, self.rows) == (other.d, other.labels, other.targets, other.rows)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.labels)
 
     @property
     def n_cols(self) -> int:
         return 2**self.d
+
+    @functools.cached_property
+    def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The rational rows, derived on first read on a :func:`build_H` system."""
+        rows = []
+        for label, (a, c, den) in zip(self.labels, self._terms):
+            off, on = Fraction(a, den), Fraction(c, den)
+            rows.append(tuple(on if one else off for one in _all_ones(self.d, *label[1:])))
+        return tuple(rows)
 
     @functools.cached_property
     def int_rows(self) -> np.ndarray:
@@ -366,16 +378,16 @@ class ConstraintMatrix:
 
         from ._linalg import _exact, _integer_rows, _max_abs
 
-        primitive = _integer_rows(self.rows) if self.primitive_rows is None else self.primitive_rows
-        rows = np.array(primitive, dtype=object).reshape(self.n_rows, self.n_cols)
-        (rows,) = _exact(_max_abs(rows), rows)
+        if self._terms is None:
+            rows = np.array(_integer_rows(self.rows), dtype=object).reshape(self.n_rows, self.n_cols)
+            (rows,) = _exact(_max_abs(rows), rows)
+        else:
+            off, on, _ = zip(*self._terms)
+            # the largest entry of a row is a or b - a
+            off, on = _exact(max(max(off), -min(on)), np.array(off, dtype=object), np.array(on, dtype=object))
+            rows = np.where(_ones_table(self.d), on[:, None], off[:, None])
         rows.flags.writeable = False
         return rows
-
-    @functools.cached_property
-    def float_rows(self) -> Tuple[Tuple[float, ...], ...]:
-        """The rows as floats, each entry ``float(h)``: what :func:`residual` reads for a float pmf."""
-        return tuple(tuple(map(float, row)) for row in self.rows)
 
     @functools.cached_property
     def relative_interior(self) -> Tuple[Tuple[int, ...], int]:
@@ -422,42 +434,32 @@ class ConstraintMatrix:
 
 
 def build_H(targets: MarginTargets) -> ConstraintMatrix:
-    """Assemble the constraint matrix for a target system.
-
-    Uniform-margin rows are emitted exactly as the +/-1 indicator
-    difference; general margins use the balanced form with weights
-    ``m_i`` and ``-(1 - m_i)``.  Each row comes with its primitive integer
-    row, in the closed form of the module note.
-    """
-    d = targets.d
-    rows, primitive, labels = [], [], []
-
-    def emit(label, ones, off, on, value):
-        # value = a/b is the target; its primitive row is a off the `ones` cells and a - b on them
-        a, b = value.numerator, value.denominator
-        rows.append(tuple(on if one else off for one in ones))
-        primitive.append(tuple(a - b if one else a for one in ones))
-        labels.append(label)
-
-    for i in range(1, d + 1):
-        mi = targets.univariate[i - 1]
-        off, on = (Fraction(1), Fraction(-1)) if mi == Fraction(1, 2) else (mi, -(1 - mi))
-        emit(("margin", i), _all_ones(d, i), off, on, mi)
-    for (i, j) in all_pairs(d):
-        mu = targets.moments[(i, j)]
-        emit(("moment", i, j), _all_ones(d, i, j), mu, mu - 1, mu)
-    H = ConstraintMatrix(d=d, rows=tuple(rows), labels=tuple(labels), targets=targets)
-    object.__setattr__(H, "primitive_rows", tuple(primitive))
+    """The constraint matrix of a target system; it keeps each row's terms of the module note, and no entry."""
+    labels = [("margin", i) for i in range(1, targets.d + 1)] + [("moment", *pair) for pair in all_pairs(targets.d)]
+    values = [(v.numerator, v.denominator) for v in (*targets.univariate, *targets.moments.values())]
+    # a, a - b and the rational row's denominator b; a uniform margin row (b = 2) is +-1 over 1
+    terms = [(a, a - b, 1 if r < targets.d and b == 2 else b) for r, (a, b) in enumerate(values)]
+    H = object.__new__(ConstraintMatrix)
+    vars(H).update(d=targets.d, labels=tuple(labels), targets=targets, _terms=terms)
     return H
 
 
 def residual(H: ConstraintMatrix, p: Pmf) -> tuple:
-    """The vector ``H . p``; exact Fractions when ``p`` is rational."""
+    """The vector ``H . p``; exact Fractions when ``p`` is rational, else each entry h read as ``float(h)``."""
     if 2**p.d != H.n_cols:
         raise DimensionMismatchError(f"pmf has {2**p.d} cells but H has {H.n_cols} columns")
     if p.mode == RATIONAL:
         return tuple(sum(h * c for h, c in zip(row, p.cells)) for row in H.rows)
-    return tuple(math.fsum(h * c for h, c in zip(row, p.cells)) for row in H.float_rows)
+    import numpy as np
+
+    if H._terms is None:
+        floats = np.array(H.rows, dtype=float)
+    else:
+        # a / den in Python ints rounds as float(Fraction(a, den)) does
+        pairs = np.array([(a / den, c / den) for a, c, den in H._terms])
+        floats = np.where(_ones_table(H.d), pairs[:, 1:], pairs[:, :1])
+    # each product is one IEEE multiplication, as h * c in Python, and fsum adds them exactly
+    return tuple(map(math.fsum, (floats * p.cells).tolist()))
 
 
 def satisfies(H: ConstraintMatrix, p: Pmf, tol: Scalar = 0) -> bool:

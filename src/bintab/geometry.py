@@ -33,11 +33,10 @@ a 1-face, so each new ray comes from exactly one pair and equals no ray
 already on the hyperplane.
 
 Each row is one pass of whole-array numpy operations over the (rays x 2^d)
-integer matrix R of the current rays:
+integer matrix R of the current rays, each gather a ``take``:
 
-* the values ``R @ h`` and one sign split: a stable argsort of their signs
-  lists the negative, zero and positive rays, each in index order, and a
-  count of each sign cuts them apart;
+* the values ``R @ h`` and the sign split: three ``nonzero`` calls list the
+  negative, zero and positive rays, each in index order;
 * the popcount bound, a necessary condition on each split pair: the rank is
   at most the number of rows inserted so far, so ``|S| <= rows + 2``.  The
   ray supports are kept as bit masks, one row per ray of the narrowest
@@ -54,18 +53,20 @@ integer matrix R of the current rays:
   leaves it unchanged, one AND and one compare per word, and a pair is
   adjacent when exactly 2 rays lie inside its union, counted in uint32;
 * one expression ``(h.r_a) r_b - (h.r_b) r_a`` builds every new ray, and
-  the gcd of each row makes it primitive.  New rays follow the rays on the
-  hyperplane in pos-major, neg-minor pair order.  Both terms are
-  nonnegative and the gcd is positive, so the support of a new ray is the
-  union of its pair's supports: its mask is ``masks[a] | masks[b]``, and
-  :func:`_mask_words` reads masks off ray entries only on the orthant.
+  one gcd reduce and one divide across a cells-major copy make them all
+  primitive.  New rays follow the rays on the hyperplane in pos-major,
+  neg-minor pair order.  Both terms are nonnegative and the gcd is
+  positive, so the support of a new ray is the union of its pair's
+  supports: its mask is ``masks[a] | masks[b]``, and :func:`_mask_words`
+  reads masks off ray entries only on the orthant.
 
 R is int64 only while a bound computed from the data proves that no
 intermediate overflows (``_linalg._exact``): ``n * max|h| * max|R| < 2^62``
 before the values, ``2 * max|h.r| * max|R| < 2^62`` before the
 combination, with one ``max|R|`` per row, which is ``R.max()`` as rays are
-nonnegative.  Otherwise the same operations run on Python ints
-(``dtype=object``), so results stay exact for any target precision.
+nonnegative, and every ``max|h|`` taken at once.  Otherwise the same
+operations run on Python ints (``dtype=object``), so results stay exact for
+any target precision.
 
 Each inserted row emits one debug record on the ``bintab.geometry`` logger
 with its counts: rays in and out, candidate pairs, and pairs left after
@@ -244,7 +245,7 @@ def _adjacent_pairs(masks: np.ndarray, pos: np.ndarray, neg: np.ndarray, inserte
     n_words, word_bytes = masks.shape[1], masks.itemsize
     # rank(A_S) <= inserted, so an adjacent pair has |S| <= inserted + 2
     max_support = inserted + 2
-    masks_pos, masks_neg = masks[pos], masks[neg]
+    masks_pos, masks_neg = masks.take(pos, axis=0), masks.take(neg, axis=0)
     # a popcount is at most the cell count (8 bits at d <= 3), which uint8 holds below 256
     count_dtype = np.uint8 if 8 * word_bytes * n_words < 256 else np.uint16
     block = max(1, _SUBSET_BLOCK_BYTES // (word_bytes * len(neg)))
@@ -261,7 +262,7 @@ def _adjacent_pairs(masks: np.ndarray, pos: np.ndarray, neg: np.ndarray, inserte
     adjacent = np.empty(len(a), dtype=bool)
     for start in range(0, len(a), chunk):
         stop = start + chunk
-        unions = masks_pos[a[start:stop]] | masks_neg[b[start:stop]]
+        unions = masks_pos.take(a[start:stop], axis=0) | masks_neg.take(b[start:stop], axis=0)
         inside = (masks[:, 0] & unions[:, 0, None]) == masks[:, 0]
         for w in range(1, n_words):
             inside &= (masks[:, w] & unions[:, w, None]) == masks[:, w]
@@ -276,37 +277,37 @@ def _insert_equality(
     masks: np.ndarray,
     inserted: int,
     h: np.ndarray,
+    h_max: int,
 ) -> Tuple[np.ndarray, np.ndarray, dict]:
     """Refine the cone by ``h . y = 0``; return the new ray matrix, its masks and the row's counts.
 
-    ``R`` holds one ray per row, ``h`` is one row of ``int_rows`` and
-    ``inserted`` is the number of rows inserted before ``h``.
+    ``R`` holds one ray per row, ``h`` is one row of ``int_rows``, ``h_max``
+    is ``max|h|`` and ``inserted`` is the number of rows inserted before ``h``.
     """
     # rays are nonnegative, and the cone holds at least one
     r_max = int(R.max())
-    R, h = _exact(len(h) * _max_abs(h) * r_max, R, h)
+    R, h = _exact(len(h) * h_max * r_max, R, h)
     vals = R @ h
-    # rays by sign, each group in index order: negative, zero, positive
-    sign = np.sign(vals).astype(np.int8)
-    order = np.argsort(sign, kind="stable")
-    n_neg, n_zero, n_pos = np.bincount(sign + 1, minlength=3).tolist()
-    neg, zero, pos = order[:n_neg], order[n_neg : n_neg + n_zero], order[n_neg + n_zero :]
+    # rays by sign, each group in index order
+    neg, zero, pos = (vals < 0).nonzero()[0], (vals == 0).nonzero()[0], (vals > 0).nonzero()[0]
     counts = {
         "rays_in": len(R),
-        "candidate_pairs": n_pos * n_neg,
+        "candidate_pairs": len(pos) * len(neg),
         "popcount_pairs": 0,
         "subset_pairs": 0,
     }
-    if not n_pos or not n_neg:
-        return R[zero], masks[zero], counts
+    if not len(pos) or not len(neg):
+        return R.take(zero, axis=0), masks.take(zero, axis=0), counts
     a, b, counts["popcount_pairs"] = _adjacent_pairs(masks, pos, neg, inserted)
     counts["subset_pairs"] = len(a)
     R, vals = _exact(2 * _max_abs(vals) * r_max, R, vals)
-    # vals[a] > 0 > vals[b]: a positive combination of r_a and r_b on the hyperplane
-    new = vals[a, None] * R[b] - vals[b, None] * R[a]
-    new //= np.gcd.reduce(new, axis=1)[:, None]
+    # vals[a] > 0 > vals[b]: a positive combination of r_a and r_b on the hyperplane; cells-major, one
+    # gcd reduce runs across all new rays at once instead of along each short row
+    new = (vals.take(a)[:, None] * R.take(b, axis=0) - vals.take(b)[:, None] * R.take(a, axis=0)).T.copy()
+    new //= np.gcd.reduce(new, axis=0)
     # both rays are nonnegative, so the support of the new ray is the union of theirs
-    return np.concatenate([R[zero], new]), np.concatenate([masks[zero], masks[a] | masks[b]]), counts
+    unions = masks.take(a, axis=0) | masks.take(b, axis=0)
+    return np.concatenate([R.take(zero, axis=0), new.T]), np.concatenate([masks.take(zero, axis=0), unions]), counts
 
 
 def _log_row(counts: dict) -> None:
@@ -323,8 +324,9 @@ def _insert_rows(R: np.ndarray, masks: np.ndarray, inserted: int, labels: Sequen
     Returns the ray matrix, its masks and the label of the row that emptied
     the cone (None when none did).
     """
-    for inserted, (label, h) in enumerate(zip(labels, rows), inserted):
-        R, masks, counts = _insert_equality(R, masks, inserted, h)
+    h_max = np.abs(rows).max(axis=1, initial=0).tolist()
+    for inserted, (label, h, h_abs) in enumerate(zip(labels, rows, h_max), inserted):
+        R, masks, counts = _insert_equality(R, masks, inserted, h, h_abs)
         counts.update(row=label, rays_out=len(R))
         record(counts)
         if not len(R):
@@ -347,7 +349,8 @@ def _margin_cone(n_cols: int, labels: tuple, rows: tuple, int64_bound: int) -> _
     """The cone after the margin rows ``rows``, from the orthant; ``int64_bound`` only keys the cache."""
     R = np.eye(n_cols, dtype=np.int64)
     records = []
-    R, masks, emptied = _insert_rows(R, _mask_words(R), 0, labels, np.array(rows, dtype=object), records.append)
+    rows = np.array(rows, dtype=object).reshape(len(rows), n_cols)  # 2-D when there are no rows too
+    R, masks, emptied = _insert_rows(R, _mask_words(R), 0, labels, rows, records.append)
     R.flags.writeable = masks.flags.writeable = False
     return _Cone(R, masks, emptied, tuple(records))
 

@@ -276,15 +276,18 @@ def constraints_to_json_dict(H: ConstraintMatrix) -> dict:
 def vertexset_to_json_dict(V: VertexSet, digits: int = 6) -> dict:
     """Vertex JSON embeds the generating targets so it can be reloaded alone.
 
+    A system other than ``build_H`` of its targets, such as a row prefix,
+    comes along as ``"constraints"``: its row labels and integer rows.
     Each distinct cell value is formatted once (see ``VertexSet.key_values``).
     """
+    H = V.constraints
     rows, values = V.key_values()
     cells = {k: format_rational(v) for k, v in values.items()}
     decimals = {k: _decimal_str(v, digits) for k, v in values.items()}
-    return {
-        "d": V.constraints.d,
+    out = {
+        "d": H.d,
         "count": len(V),
-        "targets": targets_to_json_dict(V.constraints.targets, digits),
+        "targets": targets_to_json_dict(H.targets, digits),
         "vertices": [
             {
                 "cells": list(map(cells.__getitem__, row)),
@@ -293,6 +296,12 @@ def vertexset_to_json_dict(V: VertexSet, digits: int = 6) -> dict:
             for row in rows
         ],
     }
+    if H != build_H(H.targets):
+        out["constraints"] = {
+            "labels": [f"{label[0]} {axes_key(label[1:])}" for label in H.labels],
+            "rows": [list(map(str, row)) for row in H.int_rows.tolist()],
+        }
+    return out
 
 
 def _array(value, what: str) -> list:
@@ -365,6 +374,20 @@ def _vertex_keys(d: int, rows: list, values: list):
     return keys, L
 
 
+def _vertex_file_system(obj: dict, targets: MarginTargets) -> ConstraintMatrix:
+    """The system a vertex file's vertices belong to: its ``"constraints"``, else ``build_H`` of its targets."""
+    block = obj.get("constraints")
+    if block is None:
+        return build_H(targets)
+    try:  # TableParseError and DomainError are ValueErrors too
+        names = map(str.split, _array(block["labels"], "labels"))
+        labels = [(kind, *map(int, axes.split(","))) for kind, axes in names]
+        rows = [tuple(map(parse_rational, _array(row, "a row"))) for row in _array(block["rows"], "rows")]
+        return ConstraintMatrix(d=targets.d, rows=rows, labels=labels, targets=targets)
+    except ValueError as exc:
+        raise TableParseError(f"malformed vertex file constraints: {exc}") from exc
+
+
 def vertexset_from_json(text: str) -> VertexSet:
     """The vertex set of a vertex JSON document; every vertex is checked as a pmf and against the targets.
 
@@ -383,7 +406,7 @@ def vertexset_from_json(text: str) -> VertexSet:
         raise TableParseError(f"invalid vertex JSON: {exc}") from exc
     try:
         targets = targets_from_json_dict(obj["targets"])
-        H = build_H(targets)
+        H = _vertex_file_system(obj, targets)
         d = obj["d"]
         if type(d) is not int or d != targets.d:  # JSON true is a bool, an int subclass
             raise TableParseError(f"vertex file 'd' must be the integer d={targets.d} of its targets, got {d!r}")
@@ -406,7 +429,7 @@ def vertexset_from_json(text: str) -> VertexSet:
     K, h = _exact(H.n_cols * _max_abs(H.int_rows) * L, keys, H.int_rows)
     violated = np.flatnonzero((K @ h.T != 0).any(axis=1))
     if len(violated):
-        raise TableParseError(f"vertex {violated[0] + 1} violates the constraints of the file's targets")
+        raise TableParseError(f"vertex {violated[0] + 1} violates the constraints of the file")
     return VertexSet(keys=keys, scale=L, constraints=H)
 
 

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constraints import DEFAULT_MAX_ITER, DEFAULT_TOL, MarginTargets, build_H
+from .constraints import DEFAULT_MAX_ITER, DEFAULT_TOL, MarginTargets, _ones_table, build_H
 from .errors import DomainError
 from .table import FLOAT, Pmf, all_pairs
 
@@ -59,12 +59,9 @@ class IpfReport:
 @lru_cache(maxsize=None)
 def _blocks(d: int) -> np.ndarray:
     """The ``(pairs, 4, 2^(d-2))`` read-only table of each pair's block cells; see the module note."""
-    cells = np.arange(2**d)
-    bits = [(cells >> (d - i)) & 1 for i in range(1, d + 1)]
+    bits = _ones_table(d).astype(np.intp)  # row i - 1: the bit of axis i in each cell
     # a stable sort by block keeps each block's cells in cell order
-    table = np.stack(
-        [cells[np.argsort(2 * bits[i - 1] + bits[j - 1], kind="stable")].reshape(4, -1) for (i, j) in all_pairs(d)]
-    )
+    table = np.stack([np.argsort(2 * bits[i - 1] + bits[j - 1], kind="stable").reshape(4, -1) for i, j in all_pairs(d)])
     table.flags.writeable = False
     return table
 

@@ -223,9 +223,6 @@ class Pmf:
             raise DimensionMismatchError(f"configuration length {len(alpha)} != d={self.d}")
         return self.cells[cell_index(alpha) - 1]
 
-    def support_size(self) -> int:
-        return sum(1 for c in self.cells if c != 0)
-
 
 def _float_pmfs(d: int, block) -> list:
     """The rows of a (draws x 2^d) float array as float pmfs, validated as one block.

@@ -171,6 +171,26 @@ def reference_primitive_row(row):
     return [v // g for v in ints] if g else ints
 
 
+def reference_H_rows(targets):
+    """The rational rows of H, from the targets by their definition.
+
+    Margin row i is +1 off and -1 on the cells with x_i = 1 when m_i = 1/2,
+    and m_i off and -(1 - m_i) on them otherwise; moment row (i, j) is
+    mu_ij - 1 on the cells with x_i = x_j = 1 and mu_ij elsewhere.  Cell k
+    has x_i = bit d - i of k.
+    """
+    d = targets.d
+    bits = [[(k >> (d - i)) & 1 for i in range(1, d + 1)] for k in range(2**d)]
+    rows = []
+    for i, m in enumerate(targets.univariate):
+        off, on = (F(1), F(-1)) if m == F(1, 2) else (m, m - 1)
+        rows.append(tuple(on if x[i] else off for x in bits))
+    for i, j in combinations(range(d), 2):
+        mu = targets.moments[(i + 1, j + 1)]
+        rows.append(tuple(mu - 1 if x[i] and x[j] else mu for x in bits))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # random table generators (non-oracle helpers)
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from conftest import (
     reference_moment_from_root,
     reference_nullspace,
     reference_observed_targets,
+    reference_H_rows,
     reference_primitive_row,
     reference_rank,
     reference_targets,
@@ -293,7 +294,7 @@ class TestMomentOracles:
 class TestTargetsFromPmf:
     def test_example1_uniform(self, example1):
         targets = targets_from_pmf(example1, digits=3)
-        assert targets.is_uniform
+        assert targets.univariate == (F(1, 2),) * 3
         assert targets.moments == {
             (1, 2): F(194, 1000),
             (1, 3): F(222, 1000),
@@ -520,22 +521,22 @@ class TestIntRows:
                 expected = [list(row) for row in _integer_rows(H.rows)]
                 assert H.int_rows.tolist() == expected
                 hand_built = ConstraintMatrix(d=H.d, rows=H.rows, labels=H.labels, targets=H.targets)
-                assert hand_built.primitive_rows is None and hand_built == H
+                assert hand_built == H
                 assert hand_built.int_rows.tolist() == expected
                 assert hand_built.int_rows.dtype == H.int_rows.dtype
                 dtypes.add(H.int_rows.dtype)
         # both sides of the int64 bound are covered
         assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
-    def test_primitive_rows_come_only_from_build_H(self, water):
-        # rows of another system would compare equal (compare=False) and enumerate wrong vertices
+    def test_hand_built_int_rows_scale_its_own_rows(self, water):
+        # a hand-built H takes no integer rows: they come from its rational rows, not from its targets
         H = build_H(targets_from_pmf(water, digits=3))
         other = build_H(targets_from_pmf(water, digits=2))
-        assert H.primitive_rows == tuple(map(tuple, _integer_rows(H.rows)))
-        with pytest.raises(TypeError, match="primitive_rows"):
-            ConstraintMatrix(
-                d=H.d, rows=H.rows, labels=H.labels, targets=H.targets, primitive_rows=other.primitive_rows
-            )
+        mixed = ConstraintMatrix(d=H.d, rows=other.rows, labels=H.labels, targets=H.targets)
+        assert mixed.int_rows.tolist() == other.int_rows.tolist() != H.int_rows.tolist()
+        assert mixed != H
+        with pytest.raises(TypeError, match="int_rows"):
+            ConstraintMatrix(d=H.d, rows=H.rows, labels=H.labels, targets=H.targets, int_rows=other.int_rows)
 
     def test_built_once_and_read_only(self, example1_H3):
         H = build_H(example1_H3.targets)
@@ -572,18 +573,46 @@ class TestResidual:
     def test_float_pmfs_read_the_float_rows(self, example1, water):
         rng = random.Random(5)
         observed = build_H(targets_from_pmf(example1, digits=3, margins="observed"))
-        for H in (observed, build_H(targets_from_pmf(water, digits=3))):
+        uniform = build_H(targets_from_pmf(water, digits=3))
+        hand_built = ConstraintMatrix(d=4, rows=uniform.rows[::-1], labels=uniform.labels[::-1], targets=uniform.targets)
+        for H in (observed, uniform, hand_built):
             for _ in range(10):
                 weights = [rng.random() for _ in range(H.n_cols)]
                 p = Pmf.from_cells([w / sum(weights) for w in weights], mode="float")
-                # each rational entry converted on the fly, as before the float rows were cached
+                # each rational entry as its float
                 expected = tuple(math.fsum(float(h) * c for h, c in zip(row, p.cells)) for row in H.rows)
                 assert residual(H, p) == expected
-            assert H.float_rows is H.float_rows
 
     def test_dimension_mismatch(self, example1_H3):
         with pytest.raises(DomainError):
             residual(example1_H3, Pmf.uniform(4))
+
+
+class TestReferenceRows:
+    """H against the rows its definition gives the targets (``reference_H_rows``)."""
+
+    @staticmethod
+    def _systems():
+        rng = random.Random(31)
+        for d in range(2, 9):
+            for margins in ("uniform", "observed"):
+                for digits in (3, 20):
+                    targets = targets_from_pmf(random_rational_pmf(rng, d, positive=True), digits=digits, margins=margins)
+                    yield build_H(targets), reference_H_rows(targets), rng
+
+    def test_rows_int_rows_and_residual(self):
+        dtypes = set()
+        for H, expected, rng in self._systems():
+            assert H.rows == tuple(expected)
+            assert H.int_rows.tolist() == [reference_primitive_row(row) for row in expected]
+            dtypes.add(H.int_rows.dtype)
+            p = random_rational_pmf(rng, H.d)
+            assert residual(H, p) == tuple(sum(h * c for h, c in zip(row, p.cells)) for row in expected)
+            weights = [rng.random() for _ in range(H.n_cols)]
+            q = Pmf.from_cells([w / sum(weights) for w in weights], mode="float")
+            assert residual(H, q) == tuple(math.fsum(float(h) * c for h, c in zip(row, q.cells)) for row in expected)
+        # digits 20 puts the moment rows past the int64 bound, on the Python-int path
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 
 def _bits(a):

@@ -1,6 +1,7 @@
 """Vertex enumeration, mixtures, and decomposition."""
 
 import functools
+import hashlib
 import itertools
 import json
 import logging
@@ -213,7 +214,7 @@ class TestExtremeRays:
         cells = {v.cells for v in V.vertices}
         assert {tuple(reversed(c)) for c in cells} == cells
         rank = reference_rank(H.rows)
-        assert all(v.support_size() <= rank + 1 for v in V.vertices)
+        assert all(sum(c != 0 for c in v.cells) <= rank + 1 for v in V.vertices)
 
     def test_row_trace_is_logged(self, water, caplog):
         H = build_H(targets_from_pmf(water, digits=3))
@@ -229,6 +230,36 @@ class TestExtremeRays:
         for prev, r in zip([{"rays_out": 16}] + rows, rows):
             assert r["rays_in"] == prev["rays_out"]
             assert r["candidate_pairs"] >= r["popcount_pairs"] >= r["subset_pairs"]
+
+    @pytest.mark.parametrize(
+        "index, digits, dtype, popcount, subset, sha",
+        [
+            (
+                26, 3, np.int64,
+                [64, 128, 224, 344, 504, 336, 140, 234, 124, 92],
+                [64, 128, 224, 344, 504, 336, 140, 178, 124, 92],
+                "df652882a5200eb3ac7df0c811b3a888c351812f6a5010166dc9d024f11a0a11",
+            ),
+            (
+                9, 20, object,
+                [64, 128, 224, 288, 493, 344, 196, 192, 128, 96],
+                [64, 128, 224, 288, 468, 332, 196, 192, 128, 96],
+                "44e298140d3f09ba41c32278c7e0fb786da73cfecb0d9efe54227d664f35cd0e",
+            ),
+        ],
+        ids=["int64", "python-int"],
+    )
+    def test_observed_margin_row_trace(self, pool_pmfs, caplog, index, digits, dtype, popcount, subset, sha):
+        # observed-margin pool systems whose popcount bound passes pairs the subset count rejects,
+        # on both sides of the int64 bound: the row kernel's counts and the exact keys, pinned
+        H = build_H(targets_from_pmf(pool_pmfs[index], digits=digits, margins="observed"))
+        with caplog.at_level(logging.DEBUG, logger="bintab.geometry"):
+            V = enumerate_vertices(H)
+        rows = [r.args for r in caplog.records if r.name == "bintab.geometry"]
+        assert [r["popcount_pairs"] for r in rows] == popcount
+        assert [r["subset_pairs"] for r in rows] == subset
+        assert V.keys.dtype == dtype
+        assert hashlib.sha256(json.dumps([V.scale, V.keys.tolist()]).encode()).hexdigest() == sha
 
     def test_insertion_order_irrelevant(self, example1_H3):
         base = {v.cells for v in enumerate_vertices(example1_H3).vertices}
@@ -348,7 +379,7 @@ class TestRowMasks:
         masks = geometry._mask_words(R)
         dtypes = set()
         for inserted, h in enumerate(H.int_rows):
-            R, masks, counts = geometry._insert_equality(R, masks, inserted, h)
+            R, masks, counts = geometry._insert_equality(R, masks, inserted, h, int(np.abs(h).max()))
             expected = geometry._mask_words(R)
             assert masks.dtype == expected.dtype and masks.shape == expected.shape
             assert (masks == expected).all()
@@ -434,9 +465,9 @@ class TestMarginCone:
         inserted = []
         original = geometry._insert_equality
 
-        def counting(R, masks, k, h):
+        def counting(R, masks, k, *row):
             inserted.append(k)
-            return original(R, masks, k, h)
+            return original(R, masks, k, *row)
 
         monkeypatch.setattr(geometry, "_insert_equality", counting)
         first, second = (build_H(targets_from_pmf(p, digits=2)) for p in pool_pmfs[:2])
@@ -524,7 +555,6 @@ class TestVertexMatrix:
 
     def test_d5_vertex_file_round_trips(self):
         # 10,146 vertices of equicorrelated mu = 2/5 through the writer and the reader, in order and reversed.
-        # (The margin polytope itself has no vertex file: the file's targets rebuild the moment rows.)
         moments = {(i, j): F(2, 5) for i in range(1, 6) for j in range(i + 1, 6)}
         V = enumerate_vertices(build_H(MarginTargets.uniform(5, moments)))
         assert len(V) == 10146
@@ -559,7 +589,7 @@ class TestVertexInvariants:
         H = build_H(targets_from_pmf(water, digits=3))
         rank = reference_rank(H.rows)
         for v in enumerate_vertices(H).vertices:
-            assert v.support_size() <= rank + 1
+            assert sum(c != 0 for c in v.cells) <= rank + 1
 
     def test_reflect_closure_uniform_targets(self, water):
         V = enumerate_vertices(build_H(targets_from_pmf(water, digits=3)))

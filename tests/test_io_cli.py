@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import bintab
-from bintab import MarginTargets, TableParseError, all_pairs, build_H, enumerate_vertices, targets_from_pmf
+from bintab import ConstraintMatrix, MarginTargets, TableParseError, all_pairs, build_H, enumerate_vertices, targets_from_pmf
 from bintab.cli import main
 from bintab.io import (
     _decimal_str,
@@ -26,10 +27,11 @@ from bintab.io import (
     pmf_to_document,
     targets_from_json_dict,
     targets_to_json_dict,
+    vertexset_from_json,
     vertexset_to_json_dict,
 )
 from bintab.reproduce import reproduce_report
-from conftest import MOD19_COUNTS, d5_margin_H
+from conftest import MOD19_COUNTS, d5_margin_H, reference_H_rows, reference_primitive_row
 
 F = Fraction
 
@@ -245,15 +247,25 @@ def reference_decimal(value, digits):
 
 
 def reference_vertex_json(V, digits):
-    return {
-        "d": V.constraints.d,
+    H = V.constraints
+    out = {
+        "d": H.d,
         "count": len(V.vertices),
-        "targets": targets_to_json_dict(V.constraints.targets, digits),
+        "targets": targets_to_json_dict(H.targets, digits),
         "vertices": [
             {"cells": [str(c) for c in v.cells], "decimals": [reference_decimal(c, digits) for c in v.cells]}
             for v in V.vertices
         ],
     }
+    # a system other than the targets' own carries its labels and primitive integer rows
+    labels = [("margin", i) for i in range(1, H.d + 1)] + [("moment", i, j) for i, j in all_pairs(H.d)]
+    primitive = [reference_primitive_row(row) for row in H.rows]
+    if list(H.labels) != labels or primitive != [reference_primitive_row(row) for row in reference_H_rows(H.targets)]:
+        out["constraints"] = {
+            "labels": [f"{label[0]} " + ",".join(map(str, label[1:])) for label in H.labels],
+            "rows": [[str(v) for v in row] for row in primitive],
+        }
+    return out
 
 
 class TestVertexJson:
@@ -270,7 +282,40 @@ class TestVertexJson:
             systems = [d5_margin_H()]
         for H in systems:
             V = enumerate_vertices(H)
-            assert json.dumps(vertexset_to_json_dict(V, digits)) == json.dumps(reference_vertex_json(V, digits))
+            text = json.dumps(vertexset_to_json_dict(V, digits))
+            assert text == json.dumps(reference_vertex_json(V, digits))
+            assert ("constraints" in text) == (system == "d5_margin")
+            loaded = vertexset_from_json(text)
+            assert (loaded.scale, loaded.keys.tolist()) == (V.scale, V.keys.tolist())
+            assert loaded.constraints.labels == H.labels
+            assert loaded.constraints.int_rows.tolist() == H.int_rows.tolist()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c["labels"].__setitem__(0, "margin"), "not enough values to unpack"),
+            (lambda c: c["labels"].__setitem__(0, "margin x"), "invalid literal"),
+            (lambda c: c["rows"][0].__setitem__(0, "x"), "cannot parse 'x'"),
+            (lambda c: c["rows"][0].append("0"), "row 0 has 9 entries for 8 cells"),
+            (lambda c: c["rows"].pop(), "3 labels for 2 rows"),
+            (lambda c: c["rows"][0].__setitem__(0, True), "expected a rational number"),
+            (lambda c: c.update(rows="1"), "rows must be a JSON array"),
+        ],
+    )
+    def test_malformed_constraints_are_parse_errors(self, example1_H3, edit, message):
+        # a row prefix of the d=3 system, whose file carries its three margin rows
+        H = ConstraintMatrix(d=3, rows=example1_H3.rows[:3], labels=example1_H3.labels[:3], targets=example1_H3.targets)
+        payload = vertexset_to_json_dict(enumerate_vertices(H))
+        edit(payload["constraints"])
+        with pytest.raises(TableParseError, match=re.escape(message)):
+            vertexset_from_json(json.dumps(payload))
+
+    def test_vertices_are_checked_against_the_carried_rows(self, example1_H3):
+        H = ConstraintMatrix(d=3, rows=example1_H3.rows[:3], labels=example1_H3.labels[:3], targets=example1_H3.targets)
+        payload = vertexset_to_json_dict(enumerate_vertices(H))
+        payload["constraints"]["rows"][0] = ["1"] * 8
+        with pytest.raises(TableParseError, match="vertex 1 violates the constraints of the file"):
+            vertexset_from_json(json.dumps(payload))
 
 
 @pytest.fixture()
