@@ -40,12 +40,17 @@ polytope handled by :mod:`bintab.geometry`.
 H builds on first read, once each, what the system determines and the
 queries on it read: ``int_rows``, which every exact reader of H uses;
 ``rows``, which the ``bintab constraints`` output and an exact
-:func:`residual` read; ``relative_interior``, read by
+:func:`residual` read; ``rank``; ``relative_interior``, read by
 ``polytope_dimension`` and the CLI hit-and-run start; and
 ``kernel_chart``, which hit-and-run walks in.  The row space of
 ``[H; 1]`` is the span of the Walsh characters of order at most 2 for
 every :func:`build_H` system, so the chart is the same array for every
-such system of one d.  A read that raises, such as the
+such system of one d.  With chi_S(x) = (-1)^(sum of x_i over i in S),
+margin row i is ``(m_i - 1/2) chi_{} + chi_i / 2`` and moment row (i, j)
+is ``(mu_ij - 1/4) chi_{} + (chi_i + chi_j - chi_ij) / 4``, whatever the
+target values: ordered by |S|, ``[H; 1]`` is triangular with a nonzero
+diagonal, so the rows of H are independent and ``rank`` is their count,
+d + d(d-1)/2, with no elimination.  A read that raises, such as the
 :class:`~bintab.errors.EmptyFeasibleSetError` of an empty polytope, caches
 nothing, so every later read raises too.
 """
@@ -388,6 +393,20 @@ class ConstraintMatrix:
             rows = np.where(_ones_table(self.d), on[:, None], off[:, None])
         rows.flags.writeable = False
         return rows
+
+    @functools.cached_property
+    def rank(self) -> int:
+        """The rank of H over the rationals.
+
+        A :func:`build_H` system's rows are independent (the module note),
+        so its rank is its row count; a system built by hand is eliminated
+        by :func:`bintab._linalg._int_rref`.
+        """
+        if self._terms is not None:
+            return self.n_rows
+        from ._linalg import _int_rref
+
+        return len(_int_rref(self.int_rows)[1])
 
     @functools.cached_property
     def relative_interior(self) -> Tuple[Tuple[int, ...], int]:

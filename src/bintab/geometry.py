@@ -25,6 +25,20 @@ rays on the hyperplane and adds one primitive ray per adjacent split pair,
 so the ray set stays exactly the extreme rays from the unit vectors onward,
 and the combinatorial test decides adjacency exactly.
 
+The kernel-dimension bound decides many pairs before that test.  Let r_a
+and r_b be extreme rays with supports S_a and S_b, and U their union.  As
+r_a is extreme, the kernel of A on the S_a columns is the line through
+r_a, and each column added to S_a raises the kernel's dimension by at most
+one, so ``dim ker(A_U) <= 1 + |U - S_a|``; the same holds with S_b.  Both
+rays lie in that kernel and are independent, so its dimension is at least
+2.  Hence when ``|U| <= max(|S_a|, |S_b|) + 1`` the kernel is a plane,
+``rank(A_U) == |U| - 2``, and the pair is adjacent by the algebraic test.
+Only the other pairs within the popcount bound go to the subset count: on
+the moment rows of the d=4 pool systems of the benchmark, about one pair
+in five with uniform margins and fewer than one in a hundred with observed
+margins; on equicorrelated d=5, four in five.  The adjacent pairs and
+their order are the same either way.
+
 No ray needs to be deduplicated.  A new ray is a positive combination of
 its pair, so it lies in the relative interior of the 2-face the pair spans,
 and that 2-face is the smallest face of the old cone containing it.
@@ -46,14 +60,19 @@ integer matrix R of the current rays, each gather a ``take``:
   positive rays against all negative rays (about 1 MB of unions of one
   word each) the popcount is added up word by word, in uint8 below 256
   cells and uint16 from 256.  The flat indices of the pairs within the
-  bound, from ``flatnonzero``, give the pairs in pos-major, neg-minor
-  order through one ``divmod``;
-* the subset count over those pairs, in chunks of about 1 MB of one word
-  per (pair, ray): a ray lies inside a union when masking it by the union
-  leaves it unchanged, one AND and one compare per word, and a pair is
-  adjacent when exactly 2 rays lie inside its union, counted in uint32;
+  bound give the pairs in pos-major, neg-minor order through one
+  ``divmod``, and the popcounts at those indices are their union sizes
+  (:func:`_popcount_pairs`);
+* the kernel-dimension bound on those pairs (:func:`_kernel_bound`): the
+  support size of each positive and negative ray, one popcount per ray,
+  against each union size;
+* the subset count over the pairs the bound leaves, skipped when it
+  leaves none (:func:`_subset_adjacent`), in chunks of about 1 MB of one
+  word per (pair, ray): a ray lies inside a union when masking it by the
+  union leaves it unchanged, one AND and one compare per word, and a pair
+  is adjacent when exactly 2 rays lie inside its union, counted in uint32;
 * one expression ``(h.r_a) r_b - (h.r_b) r_a`` builds every new ray, and
-  one gcd reduce and one divide across a cells-major copy make them all
+  one gcd reduce and one division across a cells-major copy make them all
   primitive.  New rays follow the rays on the hyperplane in pos-major,
   neg-minor pair order.  Both terms are nonnegative and the gcd is
   positive, so the support of a new ray is the union of its pair's
@@ -66,7 +85,16 @@ before the values, ``2 * max|h.r| * max|R| < 2^62`` before the
 combination, with one ``max|R|`` per row, which is ``R.max()`` as rays are
 nonnegative, and every ``max|h|`` taken at once.  Otherwise the same
 operations run on Python ints (``dtype=object``), so results stay exact for
-any target precision.
+any target precision.  The division that makes new rays primitive has
+three regimes, by the combination bound ``2 * max|h.r| * max|R|``:
+
+* below 2^53, a float64 true division written back into the int64 array
+  in place: every entry and its gcd are integers below 2^53, so float64
+  holds them exactly, and the quotient is an integer below 2^53, which the
+  correctly rounded division returns exactly.  It skips the hardware
+  integer division of ``//``;
+* from 2^53 to 2^62, the int64 floor divide ``new //= g``;
+* from 2^62, the same floor divide on Python ints.
 
 Each inserted row emits one debug record on the ``bintab.geometry`` logger
 with its counts: rays in and out, candidate pairs, and pairs left after
@@ -116,7 +144,11 @@ int64 below the bound and Python ints otherwise, with the scales
 whole-matrix check, every entry >= 0 and every row sum > 0, proves every
 row over L a valid rational pmf.  Candidate pairs are scanned in a fixed
 order and the rows are sorted in descending lexicographic order, which
-also pairs reflected vertices stably.  Every reader uses the keys; the vertex pmfs (one
+also pairs reflected vertices stably.  Nonnegative int64 rows compare as
+their big-endian bytes do, so one ``argsort`` of the byte rows, each row
+viewed as one void item, orders them (:func:`_descending_order`); the
+bytes are swapped in place and back, so the sort copies no key.  Python-int
+keys keep ``lexsort``.  Every reader uses the keys; the vertex pmfs (one
 ``Fraction(k, L)`` per distinct entry k, without per-pmf validation) and
 the float matrix (each entry the correctly rounded ``k / L``) are built
 from them once, on first access.
@@ -133,6 +165,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -152,6 +185,9 @@ from .table import FLOAT, RATIONAL, Pmf, _bit, _probability_vector, float_cells
 
 #: Size of the (candidate pairs x rays) block of one vectorized subset test.
 _SUBSET_BLOCK_BYTES = 1 << 20
+
+#: Integers below this are exact in float64, and so is the quotient of two of them that divide.
+_FLOAT_EXACT_BOUND = 1 << 53
 
 #: Most margin cones :func:`_margin_cone` keeps.
 _MARGIN_CONES = 4
@@ -240,36 +276,74 @@ def _mask_words(R: np.ndarray) -> np.ndarray:
     return np.packbits(R != 0, axis=1, bitorder="little").view(f"<u{min(nbytes, 8)}")
 
 
-def _adjacent_pairs(masks: np.ndarray, pos: np.ndarray, neg: np.ndarray, inserted: int):
-    """The adjacent split pairs as index arrays (pos-major, neg-minor), and how many passed the popcount bound."""
-    n_words, word_bytes = masks.shape[1], masks.itemsize
-    # rank(A_S) <= inserted, so an adjacent pair has |S| <= inserted + 2
-    max_support = inserted + 2
-    masks_pos, masks_neg = masks.take(pos, axis=0), masks.take(neg, axis=0)
+def _popcount_pairs(masks_pos: np.ndarray, masks_neg: np.ndarray, max_support: int):
+    """The split pairs whose union has at most ``max_support`` cells, and each union's cell count.
+
+    The pairs are index arrays into ``masks_pos`` and ``masks_neg``, in
+    pos-major, neg-minor order.
+    """
+    n_words, word_bytes, n_neg = masks_pos.shape[1], masks_pos.itemsize, len(masks_neg)
     # a popcount is at most the cell count (8 bits at d <= 3), which uint8 holds below 256
     count_dtype = np.uint8 if 8 * word_bytes * n_words < 256 else np.uint16
-    block = max(1, _SUBSET_BLOCK_BYTES // (word_bytes * len(neg)))
-    flat = []
-    for start in range(0, len(pos), block):
+    block = max(1, _SUBSET_BLOCK_BYTES // (word_bytes * n_neg))
+    flat, unions = [], []
+    for start in range(0, len(masks_pos), block):
         part = masks_pos[start : start + block]
-        support = np.empty((len(part), len(neg)), count_dtype)
+        support = np.empty((len(part), n_neg), count_dtype)
         np.bitwise_count(part[:, None, 0] | masks_neg[None, :, 0], out=support)
         for w in range(1, n_words):
             support += np.bitwise_count(part[:, None, w] | masks_neg[None, :, w])
-        flat.append(np.flatnonzero(support <= max_support) + start * len(neg))
-    a, b = divmod(np.concatenate(flat), len(neg))
+        within = (support.ravel() <= max_support).nonzero()[0]
+        unions.append(support.ravel().take(within))
+        flat.append(within + start * n_neg)
+    flat, unions = np.concatenate(flat), np.concatenate(unions)
+    a, b = divmod(flat, n_neg)
+    return a, b, unions
+
+
+def _subset_adjacent(masks: np.ndarray, unions: np.ndarray) -> np.ndarray:
+    """Whether exactly two of the rays ``masks`` lie inside each union mask: the combinatorial adjacency test."""
+    n_words, word_bytes = masks.shape[1], masks.itemsize
     chunk = max(1, _SUBSET_BLOCK_BYTES // (word_bytes * len(masks)))
-    adjacent = np.empty(len(a), dtype=bool)
-    for start in range(0, len(a), chunk):
-        stop = start + chunk
-        unions = masks_pos.take(a[start:stop], axis=0) | masks_neg.take(b[start:stop], axis=0)
-        inside = (masks[:, 0] & unions[:, 0, None]) == masks[:, 0]
+    adjacent = np.empty(len(unions), dtype=bool)
+    for start in range(0, len(unions), chunk):
+        part = unions[start : start + chunk]
+        inside = (masks[:, 0] & part[:, 0, None]) == masks[:, 0]
         for w in range(1, n_words):
-            inside &= (masks[:, w] & unions[:, w, None]) == masks[:, w]
+            inside &= (masks[:, w] & part[:, w, None]) == masks[:, w]
         # the pair itself always lies inside its union; a third ray there rules it out.
         # A cone can hold more rays than uint16 counts (104,880 at d=5), so the count is uint32
-        adjacent[start:stop] = inside.view(np.uint8).sum(axis=1, dtype=np.uint32) == 2
-    return pos[a[adjacent]], neg[b[adjacent]], len(a)
+        adjacent[start : start + chunk] = inside.view(np.uint8).sum(axis=1, dtype=np.uint32) == 2
+    return adjacent
+
+
+def _kernel_bound(masks_pos: np.ndarray, masks_neg: np.ndarray, a: np.ndarray, b: np.ndarray, unions: np.ndarray):
+    """Which pairs ``(a, b)`` with union sizes ``unions`` the kernel-dimension bound proves adjacent.
+
+    A pair is proved adjacent when its union has at most one cell more than
+    the larger of its two supports (the module note).
+    """
+    sizes = []
+    for masks in (masks_pos, masks_neg):
+        counts = np.bitwise_count(masks)
+        # one more than each support; a one-word mask needs no sum
+        sizes.append((counts[:, 0] if masks.shape[1] == 1 else counts.sum(axis=1)) + 1)
+    return unions <= np.maximum(sizes[0].take(a), sizes[1].take(b))
+
+
+def _adjacent_pairs(masks: np.ndarray, pos: np.ndarray, neg: np.ndarray, inserted: int):
+    """The adjacent split pairs as index arrays (pos-major, neg-minor), and how many passed the popcount bound."""
+    masks_pos, masks_neg = masks.take(pos, axis=0), masks.take(neg, axis=0)
+    # rank(A_S) <= inserted, so an adjacent pair has |S| <= inserted + 2
+    a, b, unions = _popcount_pairs(masks_pos, masks_neg, inserted + 2)
+    within = len(a)
+    adjacent = _kernel_bound(masks_pos, masks_neg, a, b, unions)
+    rest = (~adjacent).nonzero()[0]
+    if len(rest):
+        unions = masks_pos.take(a.take(rest), axis=0) | masks_neg.take(b.take(rest), axis=0)
+        adjacent[rest] = _subset_adjacent(masks, unions)
+        a, b = a[adjacent], b[adjacent]
+    return pos.take(a), neg.take(b), within
 
 
 def _insert_equality(
@@ -300,11 +374,18 @@ def _insert_equality(
         return R.take(zero, axis=0), masks.take(zero, axis=0), counts
     a, b, counts["popcount_pairs"] = _adjacent_pairs(masks, pos, neg, inserted)
     counts["subset_pairs"] = len(a)
-    R, vals = _exact(2 * _max_abs(vals) * r_max, R, vals)
+    bound = 2 * _max_abs(vals) * r_max
+    R, vals = _exact(bound, R, vals)
     # vals[a] > 0 > vals[b]: a positive combination of r_a and r_b on the hyperplane; cells-major, one
     # gcd reduce runs across all new rays at once instead of along each short row
     new = (vals.take(a)[:, None] * R.take(b, axis=0) - vals.take(b)[:, None] * R.take(a, axis=0)).T.copy()
-    new //= np.gcd.reduce(new, axis=0)
+    g = np.gcd.reduce(new, axis=0)
+    if bound < _FLOAT_EXACT_BOUND and new.dtype == np.int64:
+        # every entry, the gcd and the quotient are integers below 2^53, so the float64 quotient is
+        # exact; it is written back in place
+        np.divide(new, g, out=new, casting="unsafe")
+    else:
+        new //= g
     # both rays are nonnegative, so the support of the new ray is the union of theirs
     unions = masks.take(a, axis=0) | masks.take(b, axis=0)
     return np.concatenate([R.take(zero, axis=0), new.T]), np.concatenate([masks.take(zero, axis=0), unions]), counts
@@ -375,6 +456,21 @@ def _extreme_rays(H: ConstraintMatrix) -> Tuple[np.ndarray, Optional[tuple]]:
     return R, emptied
 
 
+def _descending_order(keys: np.ndarray) -> np.ndarray:
+    """The row order that sorts ``keys``, distinct nonnegative integer rows, in descending lexicographic order."""
+    if keys.dtype != np.int64:
+        return np.lexsort(keys.T[::-1])[::-1]
+    # nonnegative int64 rows compare as their big-endian bytes do, so one argsort of the byte rows
+    # orders them; on a little-endian machine the bytes are swapped in place, and back
+    swap = sys.byteorder == "little"
+    if swap:
+        keys.byteswap(inplace=True)
+    order = np.argsort(keys.view(np.dtype((np.void, 8 * keys.shape[1])))[:, 0])
+    if swap:
+        keys.byteswap(inplace=True)
+    return order[::-1]
+
+
 def enumerate_vertices(H: ConstraintMatrix) -> VertexSet:
     """Extreme pmfs of the feasible polytope: each extreme ray divided by its coordinate sum."""
     R, certificate = _extreme_rays(H)
@@ -387,7 +483,7 @@ def enumerate_vertices(H: ConstraintMatrix) -> VertexSet:
     R, sums = _exact(L, R, sums)
     keys = R * (L // sums)[:, None]  # the vertices times L
     # descending lexicographic order; the keys are distinct
-    keys = keys[np.lexsort(keys.T[::-1])[::-1]]
+    keys = keys.take(_descending_order(keys), axis=0)
     return VertexSet(keys=keys, scale=L, constraints=H, empty_certificate=certificate)
 
 
@@ -426,22 +522,25 @@ def _relative_interior(H: ConstraintMatrix) -> Tuple[Tuple[int, ...], int]:
     every cell some feasible table uses.  The proposal is the second-order
     table of H's targets (:func:`_second_order_point`); when every cell of
     it is positive and ``H y = 0`` holds exactly on the integer rows, ``y``
-    proves the dimension ``2^d - 1 - rank(H)``.  Otherwise
-    :func:`enumerate_vertices` runs: ``y`` is the column sums of its keys
-    (the vertex centroid, up to scale), and the dimension is
+    proves the dimension ``2^d - 1 - rank(H)``.  The rank is ``H.rank``:
+    the row count of a :func:`build_H` system, whose rows are independent
+    by the Walsh triangularity of the ``constraints`` module note, so no
+    elimination runs; a system built by hand is eliminated by
+    ``_int_rref``.  The debug record carries that rank either way.
+    Otherwise :func:`enumerate_vertices` runs: ``y`` is the column sums of
+    its keys (the vertex centroid, up to scale), and the dimension is
     :attr:`VertexSet.dimension`.  An empty polytope raises
     :class:`EmptyFeasibleSetError` with the row that emptied the cone.
     """
-    _, pivots = _int_rref(H.int_rows)
     y = _second_order_point(H.targets)
     rows, point = _exact(H.n_cols * _max_abs(H.int_rows) * max(map(abs, y)), H.int_rows, np.array(y, dtype=object))
     certified = min(y) > 0 and not (rows @ point).any()
     logger.debug(
         "interior point certificate: certified %(certified)s, rank %(rank)d",
-        {"certified": certified, "rank": len(pivots)},
+        {"certified": certified, "rank": H.rank},
     )
     if certified:
-        return tuple(y), H.n_cols - 1 - len(pivots)
+        return tuple(y), H.n_cols - 1 - H.rank
     V = enumerate_vertices(H)
     _require_nonempty(V)
     (keys,) = _exact(len(V) * V.scale, V.keys)  # each column sums at most len(V) entries <= L

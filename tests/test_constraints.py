@@ -41,7 +41,7 @@ from conftest import (
     reference_uniform_moment,
     walsh_character,
 )
-from bintab._linalg import _integer_rows
+from bintab._linalg import _int_rref, _integer_rows
 from bintab.constraints import MAX_DIGITS, _moment
 
 F = Fraction
@@ -617,6 +617,39 @@ class TestReferenceRows:
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestRank:
+    """``H.rank`` of a ``build_H`` system is its row count: in Walsh coordinates [H; 1] is triangular."""
+
+    @staticmethod
+    def _frechet_targets(rng, d, margins):
+        """Targets with each moment on a Frechet bound or midway between, at margins 1/2 or random tenths."""
+        univariate = tuple(F(1, 2) if margins == "uniform" else F(rng.randint(1, 9), 10) for _ in range(d))
+        moments = {}
+        for i, j in combinations(range(1, d + 1), 2):
+            a, b = univariate[i - 1], univariate[j - 1]
+            lo, hi = max(F(0), a + b - 1), min(a, b)
+            moments[(i, j)] = rng.choice([lo, hi, lo, hi, (lo + hi) / 2])
+        return MarginTargets(d=d, univariate=univariate, moments=moments)
+
+    @pytest.mark.parametrize("margins", ["uniform", "observed"])
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_closed_form_rank_equals_elimination(self, d, margins):
+        rng = random.Random(3200 + d)
+        systems = [targets_from_pmf(random_rational_pmf(rng, d, positive=True), digits=2, margins=margins)]
+        systems += [self._frechet_targets(rng, d, margins) for _ in range(3 if d <= 5 else 1)]
+        for targets in systems:
+            H = build_H(targets)
+            assert H.rank == len(_int_rref(H.int_rows)[1]) == d + math.comb(d, 2)
+            if d <= 5:
+                assert H.rank == H.n_cols - len(reference_nullspace(H.rows, H.n_cols))
+
+    def test_hand_built_system_is_eliminated(self, water):
+        # a repeated row leaves the rank below the row count
+        H = build_H(targets_from_pmf(water, digits=3))
+        hand = ConstraintMatrix(d=4, rows=H.rows + H.rows[:2], labels=H.labels + H.labels[:2], targets=H.targets)
+        assert hand.rank == reference_rank(hand.rows) == H.n_rows
 
 
 class TestKernelChart:

@@ -49,6 +49,7 @@ from conftest import (
     reference_affine_rank,
     reference_axis_mass,
     reference_centred_moment,
+    reference_nullspace,
     reference_rank,
     reference_second_order_uniform,
 )
@@ -261,6 +262,37 @@ class TestExtremeRays:
         assert V.keys.dtype == dtype
         assert hashlib.sha256(json.dumps([V.scale, V.keys.tolist()]).encode()).hexdigest() == sha
 
+    def test_quotient_regimes_row_trace(self, water, monkeypatch, caplog):
+        # water at digits 17: new rays are made primitive by a float64 quotient while every
+        # combination is below 2^53, by an int64 floor divide up to 2^62, and in Python ints past it;
+        # the counts and the exact keys are pinned. A float quotient on the int64 row would round
+        # some of its entries, which are past 2^53, and change the keys
+        regimes = []
+        original = geometry._insert_equality
+
+        def recording(R, masks, inserted, h, h_max):
+            rays, row = R.tolist(), h.tolist()
+            vals = [sum(a * b for a, b in zip(ray, row)) for ray in rays]
+            out = original(R, masks, inserted, h, h_max)
+            if out[2]["subset_pairs"]:
+                bound = 2 * max(map(abs, vals)) * max(map(max, rays))
+                regimes.append("float" if bound < 2**53 else "int64" if bound < 2**62 else "python")
+            return out
+
+        monkeypatch.setattr(geometry, "_insert_equality", recording)
+        geometry._margin_cone.cache_clear()
+        H = build_H(targets_from_pmf(water, digits=17))
+        with caplog.at_level(logging.DEBUG, logger="bintab.geometry"):
+            V = enumerate_vertices(H)
+        rows = [r.args for r in caplog.records if r.name == "bintab.geometry"]
+        assert regimes == ["float"] * 3 + ["int64"] + ["python"] * 5
+        assert [r["popcount_pairs"] for r in rows] == [64, 0, 64, 32, 200, 304, 196, 192, 128, 96]
+        assert [r["subset_pairs"] for r in rows] == [64, 0, 32, 28, 200, 256, 196, 192, 128, 96]
+        assert V.keys.dtype == np.int64
+        assert hashlib.sha256(json.dumps([V.scale, V.keys.tolist()]).encode()).hexdigest() == (
+            "b9147f90b3e7c3d19cf3785e9aab1349b822a392d50dd2a556d7e474394472e7"
+        )
+
     def test_insertion_order_irrelevant(self, example1_H3):
         base = {v.cells for v in enumerate_vertices(example1_H3).vertices}
         rng = random.Random(7)
@@ -297,6 +329,17 @@ def reference_adjacent_pairs(supports, pos, neg, inserted):
             if sum(s & ~union == 0 for s in supports) == 2:
                 pairs.append((i, j))
     return pairs, within
+
+
+def lemma_free_pairs(masks, pos, neg, inserted):
+    """``_adjacent_pairs`` without the kernel-dimension bound: the popcount pass, then the subset count on every pair.
+
+    The bound holds only for extreme rays of a cone; random supports are not.
+    """
+    masks_pos, masks_neg = masks[pos], masks[neg]
+    a, b, _ = geometry._popcount_pairs(masks_pos, masks_neg, inserted + 2)
+    adjacent = geometry._subset_adjacent(masks, masks_pos[a] | masks_neg[b])
+    return pos[a[adjacent]], neg[b[adjacent]], len(a)
 
 
 def random_supports(rng, n, count):
@@ -343,12 +386,12 @@ class TestMaskKernel:
         for inserted in sorted({0, 3, n // 4, n // 2, n - 6, n - 2}):
             pairs, within = reference_adjacent_pairs(supports, pos.tolist(), neg.tolist(), inserted)
             expected = ([i for i, _ in pairs], [j for _, j in pairs], within)
-            a, b, count = geometry._adjacent_pairs(masks, pos, neg, inserted)
+            a, b, count = lemma_free_pairs(masks, pos, neg, inserted)
             assert (a.tolist(), b.tolist(), count) == expected
             # blocks of 2 positive rays and chunks of one pair return the same pairs in order
             with monkeypatch.context() as m:
                 m.setattr(geometry, "_SUBSET_BLOCK_BYTES", 2 * masks.itemsize * len(neg))
-                a, b, count = geometry._adjacent_pairs(masks, pos, neg, inserted)
+                a, b, count = lemma_free_pairs(masks, pos, neg, inserted)
             assert (a.tolist(), b.tolist(), count) == expected
             adjacent.append(len(pairs))
         assert within == len(pos) * len(neg)
@@ -477,6 +520,64 @@ class TestMarginCone:
         V = enumerate_vertices(second)
         assert inserted == [4, 5, 6, 7, 8, 9]
         assert [v.cells for v in V.vertices] == [tuple(F(v, sum(r)) for v in r) for r in reference_rays(second)[0]]
+
+
+def support_of_words(row, bits):
+    """A mask row of words of ``bits`` bits as one Python int, bit c for cell c."""
+    return sum(int(w) << (bits * k) for k, w in enumerate(row))
+
+
+def kernel_bound_systems():
+    """Seeded d = 3..5 systems in both margin modes, by id; the d=5 ones keep a few rows, so the oracle stays fast."""
+    rng = random.Random(3205)
+
+    def system(d, margins):
+        return build_H(targets_from_pmf(random_rational_pmf(rng, d, positive=True), digits=2, margins=margins))
+
+    moments = {(i, j): F(3, 10) for i in range(1, 5) for j in range(i + 1, 5)}
+    return {
+        "d3-uniform": system(3, "uniform"),
+        "d3-observed": system(3, "observed"),
+        "d4-uniform": system(4, "uniform"),
+        "d4-observed": system(4, "observed"),
+        # the margin rows; the first three observed margin rows; two moment rows, a margin row and a moment row
+        "d5-uniform": prefix_H(system(5, "uniform"), 5),
+        "d5-observed": prefix_H(system(5, "observed"), 3),
+        "d5-moments-first": reordered_H(system(5, "uniform"), [5, 6, 0, 7]),
+        "equicorrelated-d4": build_H(MarginTargets.uniform(4, moments)),
+    }
+
+
+class TestKernelBound:
+    @pytest.mark.parametrize("name", list(kernel_bound_systems()))
+    def test_bound_adjacent_pairs_pass_the_rank_test(self, monkeypatch, name):
+        # every pair the kernel-dimension bound calls adjacent spans a 2-face by the algebraic test:
+        # the rows inserted so far, on the union U of the pair's supports, have a kernel of dimension 2
+        H = kernel_bound_systems()[name]
+        decided = []
+        original = geometry._kernel_bound
+
+        def recording(masks_pos, masks_neg, a, b, unions):
+            adjacent = original(masks_pos, masks_neg, a, b, unions)
+            union_masks = masks_pos[a[adjacent]] | masks_neg[b[adjacent]]
+            decided.extend(support_of_words(row, 8 * union_masks.itemsize) for row in union_masks.tolist())
+            return adjacent
+
+        monkeypatch.setattr(geometry, "_kernel_bound", recording)
+        R = np.eye(H.n_cols, dtype=np.int64)
+        masks = geometry._mask_words(R)
+        rows = H.int_rows.tolist()
+        total = 0
+        for inserted, h in enumerate(H.int_rows):
+            decided.clear()
+            R, masks, counts = geometry._insert_equality(R, masks, inserted, h, int(np.abs(h).max()))
+            for union in decided:
+                cols = [c for c in range(H.n_cols) if union >> c & 1]
+                on_union = [[row[c] for c in cols] for row in rows[:inserted]]
+                assert len(reference_nullspace(on_union, len(cols))) == 2
+            assert len(decided) <= counts["subset_pairs"]
+            total += len(decided)
+        assert total > 0
 
 
 class TestIntegerPaths:
